@@ -1,11 +1,13 @@
 // Shared helpers for the experiment benches: banner printing, the canned
 // deployments of the paper's evaluation section, a tiny command-line
-// parser (--threads N, --smoke) and a machine-readable throughput
-// emitter that appends JSON lines to BENCH_baseband.json so the perf
-// trajectory of the baseband engine is tracked across PRs.
+// parser (--threads N, --smoke) and the machine-readable row writer that
+// appends JSON lines to the tracked BENCH_*.json files (ACORN_BENCH_JSON
+// overrides the file, ACORN_BENCH_LABEL the row label) so the perf
+// trajectory of every layer is tracked across PRs.
 #pragma once
 
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdlib>
 #include <cstdio>
@@ -28,11 +30,22 @@ struct BenchOptions {
   bool smoke = false;
 };
 
+namespace detail {
+/// Row label when neither the caller nor ACORN_BENCH_LABEL names one:
+/// "smoke" once parse_options() has seen --smoke, so smoke-sized rows
+/// can never land in a tracked file labelled "current".
+inline const char*& default_label() {
+  static const char* label = "current";
+  return label;
+}
+}  // namespace detail
+
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       opts.smoke = true;
+      detail::default_label() = "smoke";
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       opts.threads = std::atoi(argv[++i]);
     }
@@ -109,95 +122,96 @@ inline const std::string& hw_json_fields() {
   return fields;
 }
 
-/// Append one JSON line to BENCH_baseband.json (path overridable via
-/// ACORN_BENCH_JSON; record label via ACORN_BENCH_LABEL, e.g. "seed" for
-/// a before/after comparison). `samples` counts complex baseband samples
-/// pushed through the chain, so msamples_per_sec tracks the sample-level
-/// work independent of packet size.
-inline void emit_throughput(const std::string& bench,
-                            const std::string& case_name, double seconds,
-                            std::int64_t packets, std::int64_t samples,
-                            int threads) {
-  const char* path = std::getenv("ACORN_BENCH_JSON");
-  const char* label = std::getenv("ACORN_BENCH_LABEL");
-  std::FILE* f = std::fopen(path != nullptr ? path : "BENCH_baseband.json",
-                            "a");
-  if (f == nullptr) return;
-  const double pps = seconds > 0.0 ? static_cast<double>(packets) / seconds
-                                   : 0.0;
-  const double msps = seconds > 0.0
-                          ? static_cast<double>(samples) / seconds / 1e6
-                          : 0.0;
-  std::fprintf(f,
-               "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\","
-               "\"threads\":%d,\"packets\":%lld,\"seconds\":%.6f,"
-               "\"packets_per_sec\":%.1f,\"msamples_per_sec\":%.3f%s}\n",
-               bench.c_str(), case_name.c_str(),
-               label != nullptr ? label : "current", threads,
-               static_cast<long long>(packets), seconds, pps, msps,
-               hw_json_fields().c_str());
-  std::fclose(f);
-}
+namespace detail {
 
-/// Append one JSON line to BENCH_network.json (path overridable via
-/// ACORN_BENCH_JSON) for the network-layer scenario sweeps: `evals`
-/// counts full-network Wlan evaluations pushed through the engine.
-/// Unlike the baseband emitter, the record label is usually passed
-/// explicitly ("seed" for the reference evaluator rows, "after" for the
-/// flat engine) because one bench run times both implementations;
-/// `label_override == nullptr` falls back to ACORN_BENCH_LABEL.
-inline void emit_evals(const std::string& bench,
-                       const std::string& case_name, double seconds,
-                       std::int64_t evals, int threads,
-                       const char* label_override = nullptr) {
+/// The one JSON row writer behind every emitter: appends
+/// {"bench","case","label"<fields><hw_json_fields>} as one line to
+/// ACORN_BENCH_JSON, or to `default_file` when that is unset.
+/// `label_override == nullptr` falls back to ACORN_BENCH_LABEL, then to
+/// default_label(). `fields` must be empty or start with ','.
+inline void append_row(const char* default_file, const std::string& bench,
+                       const std::string& case_name,
+                       const char* label_override,
+                       const std::string& fields) {
   const char* path = std::getenv("ACORN_BENCH_JSON");
   const char* label = label_override != nullptr
                           ? label_override
                           : std::getenv("ACORN_BENCH_LABEL");
-  std::FILE* f = std::fopen(path != nullptr ? path : "BENCH_network.json",
-                            "a");
+  std::FILE* f = std::fopen(path != nullptr ? path : default_file, "a");
   if (f == nullptr) return;
-  const double eps = seconds > 0.0 ? static_cast<double>(evals) / seconds
-                                   : 0.0;
-  std::fprintf(f,
-               "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\","
-               "\"threads\":%d,\"evals\":%lld,\"seconds\":%.6f,"
-               "\"evals_per_sec\":%.1f%s}\n",
+  std::fprintf(f, "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\"%s%s}\n",
                bench.c_str(), case_name.c_str(),
-               label != nullptr ? label : "current", threads,
-               static_cast<long long>(evals), seconds, eps,
+               label != nullptr ? label : default_label(), fields.c_str(),
                hw_json_fields().c_str());
   std::fclose(f);
 }
 
-/// Append one JSON line to BENCH_service.json (path overridable via
-/// ACORN_BENCH_JSON) for the acornd protocol benches: `events` counts
-/// request frames fully round-tripped (sent, dispatched, replied).
-/// `extra_json` lets a caller attach bench-specific fields (fleet size,
-/// worker count, epoch percentiles); it must be empty or start with ','.
+/// printf into a std::string (the per-family row fields).
+[[gnu::format(printf, 1, 2)]] inline std::string format(const char* fmt,
+                                                        ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  return buf;
+}
+
+inline double per_sec(double count, double seconds) {
+  return seconds > 0.0 ? count / seconds : 0.0;
+}
+
+}  // namespace detail
+
+/// Baseband rows (BENCH_baseband.json): `samples` counts complex
+/// baseband samples pushed through the chain, so msamples_per_sec
+/// tracks the sample-level work independent of packet size.
+inline void emit_throughput(const std::string& bench,
+                            const std::string& case_name, double seconds,
+                            std::int64_t packets, std::int64_t samples,
+                            int threads) {
+  detail::append_row(
+      "BENCH_baseband.json", bench, case_name, nullptr,
+      detail::format(
+          ",\"threads\":%d,\"packets\":%lld,\"seconds\":%.6f,"
+          "\"packets_per_sec\":%.1f,\"msamples_per_sec\":%.3f",
+          threads, static_cast<long long>(packets), seconds,
+          detail::per_sec(static_cast<double>(packets), seconds),
+          detail::per_sec(static_cast<double>(samples), seconds) / 1e6));
+}
+
+/// Network-layer rows (BENCH_network.json): `evals` counts full-network
+/// Wlan evaluations pushed through the engine. The label is usually
+/// passed explicitly ("seed" for the reference evaluator rows, "after"
+/// for the flat engine) because one bench run times both.
+inline void emit_evals(const std::string& bench,
+                       const std::string& case_name, double seconds,
+                       std::int64_t evals, int threads,
+                       const char* label_override = nullptr) {
+  detail::append_row(
+      "BENCH_network.json", bench, case_name, label_override,
+      detail::format(",\"threads\":%d,\"evals\":%lld,\"seconds\":%.6f,"
+                     "\"evals_per_sec\":%.1f",
+                     threads, static_cast<long long>(evals), seconds,
+                     detail::per_sec(static_cast<double>(evals), seconds)));
+}
+
+/// acornd protocol rows (BENCH_service.json): `events` counts request
+/// frames fully round-tripped (sent, dispatched, replied). `extra_json`
+/// attaches bench-specific fields (fleet size, worker count, epoch
+/// percentiles); it must be empty or start with ','.
 inline void emit_events(const std::string& bench,
                         const std::string& case_name, double seconds,
                         std::int64_t events,
                         const char* label_override = nullptr,
                         const std::string& extra_json = std::string()) {
-  const char* path = std::getenv("ACORN_BENCH_JSON");
-  const char* label = label_override != nullptr
-                          ? label_override
-                          : std::getenv("ACORN_BENCH_LABEL");
-  std::FILE* f = std::fopen(path != nullptr ? path : "BENCH_service.json",
-                            "a");
-  if (f == nullptr) return;
-  const double eps = seconds > 0.0 ? static_cast<double>(events) / seconds
-                                   : 0.0;
-  std::fprintf(f,
-               "{\"bench\":\"%s\",\"case\":\"%s\",\"label\":\"%s\","
-               "\"events\":%lld,\"seconds\":%.6f,"
-               "\"events_per_sec\":%.1f%s%s}\n",
-               bench.c_str(), case_name.c_str(),
-               label != nullptr ? label : "current",
-               static_cast<long long>(events), seconds, eps,
-               extra_json.c_str(), hw_json_fields().c_str());
-  std::fclose(f);
+  detail::append_row(
+      "BENCH_service.json", bench, case_name, label_override,
+      detail::format(",\"events\":%lld,\"seconds\":%.6f,"
+                     "\"events_per_sec\":%.1f",
+                     static_cast<long long>(events), seconds,
+                     detail::per_sec(static_cast<double>(events), seconds)) +
+          extra_json);
 }
 
 inline void banner(const std::string& experiment,

@@ -18,8 +18,8 @@
 //   --horizon S      simulated seconds of churn (default 3600)
 //   --rate R         session arrivals per WLAN per second (default 1/60)
 //   --seed S         schedule + floor seed (default 1)
-//   --workers M      pooled shard workers (default: hardware threads;
-//                    0 = one dedicated thread per WLAN)
+//   --workers M      pooled shard workers, 1..1024 (default: hardware
+//                    threads); a malformed value exits with status 2
 //   --epoch-every S  simulated seconds between reconfigurations (300)
 //   --state-dir DIR  persist snapshots + WAL; run twice with the same
 //                    directory to watch recovery before the replay
@@ -40,6 +40,7 @@
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "trace/load_gen.hpp"
+#include "util/cli.hpp"
 
 using namespace acorn;
 using namespace acorn::service;
@@ -89,7 +90,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       load.seed = static_cast<std::uint64_t>(std::atoll(value()));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      config.workers = std::atoi(value());
+      config.workers =
+          util::parse_flag(argv[0], "--workers", value(), 1, kMaxWorkers);
     } else if (std::strcmp(argv[i], "--epoch-every") == 0) {
       epoch_every_s = std::atof(value());
     } else if (std::strcmp(argv[i], "--state-dir") == 0) {

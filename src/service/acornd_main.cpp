@@ -17,6 +17,7 @@
 #include <string>
 
 #include "service/daemon.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -31,10 +32,11 @@ int usage(const char* argv0) {
                "usage: %s [--unix PATH] [--tcp PORT] [--state-dir DIR]\n"
                "          [--epoch-s SECONDS] [--hysteresis FACTOR]\n"
                "          [--wal-flush-us N] [--wal-mode shared|per-shard]\n"
-               "          [--wal-segment-bytes N] [--follow ENDPOINT] "
-               "[--log]\n"
+               "          [--wal-segment-bytes N] [--workers M]\n"
+               "          [--follow ENDPOINT] [--log]\n"
                "\n"
-               "At least one of --unix / --tcp is required.\n"
+               "At least one of --unix / --tcp is required. A malformed or\n"
+               "out-of-range numeric value exits with status 2.\n"
                "  --unix PATH        listen on a Unix domain socket\n"
                "  --tcp PORT         listen on 127.0.0.1:PORT (0 = ephemeral,\n"
                "                     chosen port is printed on startup)\n"
@@ -57,11 +59,9 @@ int usage(const char* argv0) {
                "                     recovers the other's files.\n"
                "  --wal-segment-bytes N  shared-mode segment rotation size\n"
                "                     (default 67108864)\n"
-               "  --workers M        shard execution: M pooled workers "
-               "shared\n"
-               "                     by every WLAN (default: hardware "
-               "threads;\n"
-               "                     0 = one dedicated thread per WLAN)\n"
+               "  --workers M        pooled shard workers shared by every\n"
+               "                     WLAN, 1..1024 (default: hardware "
+               "threads)\n"
                "  --follow ENDPOINT  run as a warm standby replicating the\n"
                "                     leader at unix:/path or host:port\n"
                "  --log              per-epoch and periodic stats on stderr\n",
@@ -85,19 +85,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto flag = [&]<class T>(T lo, T hi) {
+      return acorn::util::parse_flag(argv[0], arg.c_str(), value(), lo, hi);
+    };
     if (arg == "--unix") {
       config.unix_path = value();
     } else if (arg == "--tcp") {
       config.tcp = true;
-      config.tcp_port = static_cast<std::uint16_t>(std::atoi(value()));
+      config.tcp_port = flag(std::uint16_t{0}, std::uint16_t{65535});
     } else if (arg == "--state-dir") {
       config.state_dir = value();
     } else if (arg == "--epoch-s") {
-      config.epoch_s = std::atof(value());
+      config.epoch_s = flag(0.0, 1e6);
     } else if (arg == "--hysteresis") {
-      config.width_hysteresis = std::atof(value());
+      config.width_hysteresis = flag(1.0, 100.0);
     } else if (arg == "--wal-flush-us") {
-      config.wal_flush_us = static_cast<std::uint32_t>(std::atol(value()));
+      config.wal_flush_us = flag(std::uint32_t{0}, std::uint32_t{1000000});
     } else if (arg == "--wal-mode") {
       const std::string mode = value();
       if (mode == "shared") {
@@ -110,10 +113,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--wal-segment-bytes") {
-      config.wal_segment_bytes =
-          static_cast<std::uint64_t>(std::atoll(value()));
+      config.wal_segment_bytes = flag(std::uint64_t{1}, UINT64_MAX);
     } else if (arg == "--workers") {
-      config.workers = std::atoi(value());
+      config.workers = flag(1, acorn::service::kMaxWorkers);
     } else if (arg == "--follow") {
       config.follow = value();
     } else if (arg == "--log") {

@@ -56,7 +56,7 @@ Daemon::~Daemon() { stop(); }
 void Daemon::start() {
   if (running_.load()) return;
 
-  if (config_.workers != 0 && !executor_) {
+  if (!executor_) {
     const int workers =
         config_.workers > 0
             ? config_.workers
@@ -371,7 +371,7 @@ void Daemon::loop() {
                      "%llu snapshots, %llu wal syncs "
                      "(avg batch %.1f, p99 sync %.0f us)\n",
                      s.num_wlans,
-                     executor_ ? executor_->workers() : -1,
+                     executor_->workers(),
                      static_cast<unsigned long long>(s.frames_rx),
                      static_cast<unsigned long long>(s.events_total),
                      static_cast<unsigned long long>(s.epochs_total),

@@ -61,6 +61,10 @@ enum class WalMode {
   kShared,
 };
 
+/// Largest worker count the command-line tools accept for
+/// DaemonConfig::workers (each worker is an OS thread).
+inline constexpr int kMaxWorkers = 1024;
+
 struct DaemonConfig {
   /// Snapshot + WAL directory (created if missing); empty = no
   /// persistence.
@@ -81,11 +85,10 @@ struct DaemonConfig {
   /// Shared mode: rotate to a fresh segment past this many bytes
   /// (tests shrink it to exercise rotation + retirement).
   std::uint64_t wal_segment_bytes = 64ull << 20;
-  /// Shard execution model: -1 = pooled over hardware_concurrency()
-  /// workers (the default), N > 0 = pooled over N workers, 0 = the
-  /// thread-per-WLAN reference mode (one dedicated thread per shard).
-  /// Pooled execution multiplexes every registered WLAN over the fixed
-  /// worker set, so one daemon can host thousands of small WLANs.
+  /// Pooled shard workers: N >= 1 = N workers; the default (any value
+  /// below 1) = hardware_concurrency(). Every registered WLAN is
+  /// multiplexed over the fixed worker set, so one daemon can host
+  /// thousands of small WLANs.
   int workers = -1;
   /// Leader endpoint (`unix:/path` or `host:port`) to follow as a warm
   /// standby; empty = normal (leader) operation. A following daemon
@@ -168,9 +171,8 @@ class Daemon {
 
   DaemonConfig config_;
   ServiceMetrics metrics_;
-  /// Pooled shard executor (null in thread-per-WLAN reference mode).
-  /// Created before any shard starts, destroyed after every shard has
-  /// stopped (shards detach through it).
+  /// Pooled shard executor. Created before any shard starts, destroyed
+  /// after every shard has stopped (shards detach through it).
   std::unique_ptr<util::PooledExecutor> executor_;
   /// Shared-WAL group-commit thread (null in per-shard mode or without
   /// a state dir). Started before any shard, stopped after every shard

@@ -74,9 +74,7 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> events_total{0};
   std::atomic<std::uint64_t> protocol_errors{0};
   LatencyHistogram request_latency;
-  /// Wall time of completed reconfiguration epochs across all shards
-  /// (pooled workers and dedicated threads record into the same
-  /// histogram).
+  /// Wall time of completed reconfiguration epochs across all shards.
   LatencyHistogram epoch_latency;
   /// Group-commit observability, fed by every WAL fsync in either mode
   /// (per-shard WalWriter flushes and shared-segment SyncCoordinator

@@ -18,10 +18,10 @@ namespace {
 constexpr std::uint32_t kMaxWalSyncFailures = 3;
 constexpr auto kWalSyncRetryBackoff = std::chrono::milliseconds(10);
 
-/// Pooled mode: jobs one scheduling pass may drain before the shard is
-/// requeued behind the other ready shards. Bounds how long one
-/// backlogged WLAN can monopolize a worker; the WAL flush window caps
-/// reply latency well before this does.
+/// Jobs one scheduling pass may drain before the shard is requeued
+/// behind the other ready shards. Bounds how long one backlogged WLAN
+/// can monopolize a worker; the WAL flush window caps reply latency
+/// well before this does.
 constexpr int kDrainBatchPerPass = 512;
 
 sim::DeploymentSpec parse_spec(const std::string& text) {
@@ -142,6 +142,9 @@ WlanShard::WlanShard(ShardOptions options, WlanSnapshot state,
 WlanShard::~WlanShard() { stop(); }
 
 void WlanShard::start() {
+  if (options_.executor == nullptr) {
+    throw std::invalid_argument("WlanShard::start needs an executor");
+  }
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     if (running_) return;
@@ -174,39 +177,21 @@ void WlanShard::start() {
                               std::chrono::steady_clock::duration>(
                               std::chrono::duration<double>(options_.epoch_s))
                     : std::chrono::steady_clock::time_point::max();
-  if (options_.executor != nullptr) {
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      pool_attached_ = true;
-    }
-    options_.executor->attach(*this);
-  } else {
-    thread_ = std::thread([this] { run(); });
-  }
+  options_.executor->attach(*this);
 }
 
 void WlanShard::stop() {
-  bool detach = false;
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!running_ && !thread_.joinable() && !pool_attached_) return;
+    if (!running_) return;
     running_ = false;
-    detach = pool_attached_;
-    pool_attached_ = false;
   }
-  if (options_.executor != nullptr) {
-    // After detach no pooled worker can touch this shard again; drain
-    // whatever is still queued on the caller's thread, exactly as the
-    // dedicated thread does before exiting.
-    if (detach) options_.executor->detach(*this);
-    drain_inline();
-  } else {
-    queue_cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-  // The mailbox is drained and the worker is gone: make the state
-  // durable and release any replies still withheld behind the
+  // After detach no pooled worker can touch this shard again; drain
+  // whatever is still queued on the caller's thread, then make the
+  // state durable and release any replies still withheld behind the
   // group-commit window.
+  options_.executor->detach(*this);
+  drain_inline();
   write_state_snapshot();
 }
 
@@ -215,67 +200,17 @@ void WlanShard::submit(Job job) {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     jobs_.push_back(std::move(job));
   }
-  if (options_.executor != nullptr) {
-    options_.executor->notify(*this);
-  } else {
-    queue_cv_.notify_one();
-  }
+  options_.executor->notify(*this);
 }
 
 std::chrono::steady_clock::time_point WlanShard::flush_deadline() const {
   return first_unflushed_ + std::chrono::microseconds(options_.wal_flush_us);
 }
 
-void WlanShard::run() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  while (true) {
-    if (!jobs_.empty()) {
-      // Under a sustained backlog the mailbox never drains, so bound
-      // how long buffered records (and their withheld replies) can
-      // wait: sync mid-backlog once the flush window expires.
-      const auto now = std::chrono::steady_clock::now();
-      if (wal_dirty_ && now >= flush_deadline() &&
-          now >= wal_retry_after_) {
-        lock.unlock();
-        flush(/*need_sync=*/true);
-        lock.lock();
-        continue;
-      }
-      Job job = std::move(jobs_.front());
-      jobs_.pop_front();
-      lock.unlock();
-      process(job);
-      lock.lock();
-      continue;
-    }
-    if (!running_) break;  // stop() flushes after the join
-    const auto now = std::chrono::steady_clock::now();
-    if (wal_dirty_ && now >= wal_retry_after_) {
-      // Idle with buffered records: nothing is queued behind them, so
-      // waiting out the flush window buys no extra batching — sync now
-      // and release the withheld replies.
-      lock.unlock();
-      flush(/*need_sync=*/true);
-      lock.lock();
-      continue;
-    }
-    if (now >= next_epoch_) {
-      lock.unlock();
-      run_epoch();
-      lock.lock();
-      continue;
-    }
-    auto wake = next_epoch_;
-    if (wal_dirty_ && wal_retry_after_ < wake) wake = wal_retry_after_;
-    queue_cv_.wait_until(lock, wake);
-  }
-}
-
 std::chrono::steady_clock::time_point WlanShard::run_pass() {
-  // One pooled scheduling pass: the body of run() minus the blocking
-  // wait — same job order, same mid-backlog and idle flush points, same
-  // epoch check — so pooled and dedicated execution apply an identical
-  // sequence of operations to the shard state.
+  // One scheduling pass: drain the mailbox in order, syncing mid-backlog
+  // once the flush window expires and as soon as the mailbox is idle,
+  // then run a due epoch.
   int budget = kDrainBatchPerPass;
   std::unique_lock<std::mutex> lock(queue_mutex_);
   while (true) {
@@ -285,6 +220,9 @@ std::chrono::steady_clock::time_point WlanShard::run_pass() {
         // requeue behind the other ready shards.
         return std::chrono::steady_clock::time_point::min();
       }
+      // Under a sustained backlog the mailbox never drains, so bound
+      // how long buffered records (and their withheld replies) can
+      // wait: sync mid-backlog once the flush window expires.
       const auto now = std::chrono::steady_clock::now();
       if (wal_dirty_ && now >= flush_deadline() &&
           now >= wal_retry_after_) {
@@ -301,11 +239,13 @@ std::chrono::steady_clock::time_point WlanShard::run_pass() {
       lock.lock();
       continue;
     }
-    // stop() detaches and then drains/flushes inline, mirroring the
-    // dedicated thread's exit before its final snapshot.
+    // stop() detaches and then drains/flushes inline.
     if (!running_) return std::chrono::steady_clock::time_point::max();
     const auto now = std::chrono::steady_clock::now();
     if (wal_dirty_ && now >= wal_retry_after_) {
+      // Idle with buffered records: nothing is queued behind them, so
+      // waiting out the flush window buys no extra batching — sync now
+      // and release the withheld replies.
       lock.unlock();
       flush(/*need_sync=*/true);
       lock.lock();
@@ -962,7 +902,7 @@ std::vector<int> WlanShard::clients_of_locked(int ap) const {
 
 ShardCounters WlanShard::counters() const {
   // Reads the last published copy: a stats query must never block on
-  // state_mutex_, which the shard thread holds across a whole epoch.
+  // state_mutex_, which the shard's pass holds across a whole epoch.
   const std::lock_guard<std::mutex> lock(counters_mutex_);
   return published_counters_;
 }

@@ -2,12 +2,12 @@
 //
 // Each registered WLAN gets one shard: a single-writer task owning the
 // Wlan model, the live association and channel assignment, and an
-// incremental CachedOracle. A shard executes either on its own
-// dedicated thread (the thread-per-WLAN reference mode) or — the
-// default — as a util::PooledExecutor task, where one of M pooled
-// workers drains its mailbox per scheduling pass and a central timer
-// wheel drives its epoch deadline; both modes run the same drain logic
-// and produce byte-identical state. Protocol events (join/leave/SNR/load) are applied
+// incremental CachedOracle. A started shard runs as a
+// util::PooledExecutor task: one of M pooled workers drains its mailbox
+// per scheduling pass and the executor's central timer wheel drives its
+// epoch deadline. A shard that is constructed but never started is a
+// plain single-threaded replay of its snapshot + WAL records — the
+// path recovery runs. Protocol events (join/leave/SNR/load) are applied
 // immediately — Algorithm 1 associates a joining client on the spot —
 // while the expensive work (Algorithm 2 channel re-allocation plus the
 // opportunistic width fallback of core/width_switch) runs in periodic
@@ -66,7 +66,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -99,10 +98,9 @@ struct ShardOptions {
   std::uint32_t wal_flush_us = 200;
   /// Emit a one-line epoch summary to stderr.
   bool log_epochs = false;
-  /// Pooled execution: when set, the shard runs as a task of this
-  /// executor (one of its M workers drains the mailbox per pass) instead
-  /// of owning a dedicated thread. Null keeps the thread-per-WLAN
-  /// reference mode. The executor must outlive the shard's stop().
+  /// The executor a started shard runs on (one of its M workers drains
+  /// the mailbox per pass); start() requires it. A shard that is never
+  /// started needs none. The executor must outlive the shard's stop().
   util::PooledExecutor* executor = nullptr;
   /// When set, every reconfiguration epoch's wall time is recorded here
   /// (daemon-wide percentiles for --log and stats consumers).
@@ -153,7 +151,7 @@ class WlanShard : public util::PooledExecutor::Task {
     std::chrono::steady_clock::time_point t0;
     Message msg;
   };
-  /// Invoked (from the shard thread) with the encoded reply frame.
+  /// Invoked (from the shard's worker) with the encoded reply frame.
   using CompletionFn = std::function<void(
       std::uint64_t conn_id, std::chrono::steady_clock::time_point t0,
       std::vector<std::uint8_t> reply_frame)>;
@@ -173,10 +171,11 @@ class WlanShard : public util::PooledExecutor::Task {
 
   /// Checkpoints the current state (snapshot write + WAL truncate, so a
   /// fresh registration or a finished recovery is durable immediately),
-  /// then spawns the worker thread.
+  /// then attaches to options.executor. Throws std::invalid_argument
+  /// when the executor is null.
   void start();
-  /// Drains pending jobs, flushes withheld replies, writes a final
-  /// snapshot, joins the thread.
+  /// Detaches from the executor, drains pending jobs on the caller's
+  /// thread, flushes withheld replies and writes a final snapshot.
   void stop();
 
   void submit(Job job);
@@ -187,13 +186,12 @@ class WlanShard : public util::PooledExecutor::Task {
   WlanSnapshot state_snapshot() const;
 
  private:
-  void run();
-  /// PooledExecutor::Task: one scheduling pass — the same drain logic as
-  /// run(), bounded per pass for fairness, returning the next deadline
-  /// (epoch timer or WAL retry) for the executor's timer wheel.
+  /// PooledExecutor::Task: one scheduling pass — drain the mailbox,
+  /// bounded per pass for fairness, and return the next deadline (epoch
+  /// timer or WAL retry) for the executor's timer wheel.
   std::chrono::steady_clock::time_point run_pass() override;
-  /// Drain the remaining mailbox on the caller's thread (pooled-mode
-  /// stop(), after the executor detach).
+  /// Drain the remaining mailbox on the caller's thread (stop(), after
+  /// the executor detach).
   void drain_inline();
   void process(Job& job);
   Message apply_locked(const Message& msg);
@@ -244,7 +242,7 @@ class WlanShard : public util::PooledExecutor::Task {
   const std::uint32_t wlan_id_;
   const std::string deployment_text_;
 
-  // Model + controller state; guarded by state_mutex_ (the shard thread
+  // Model + controller state; guarded by state_mutex_ (the shard's pass
   // writes, stats/state queries from other threads read).
   mutable std::mutex state_mutex_;
   sim::DeploymentSpec spec_;
@@ -271,7 +269,7 @@ class WlanShard : public util::PooledExecutor::Task {
   CompletionFn post_;
 
   // Write-ahead log + group-commit state. Everything below is touched
-  // only from the shard thread (construction/start/stop excepted, when
+  // only from the shard's pass (construction/start/stop excepted, when
   // no worker is running), so it needs no lock of its own.
   WalWriter wal_;
   /// events_applied_ value the newest on-disk snapshot covers; records
@@ -311,16 +309,12 @@ class WlanShard : public util::PooledExecutor::Task {
   /// Suppresses disk writes while the constructor replays the WAL.
   bool replaying_ = false;
 
-  // Mailbox.
+  // Mailbox. running_: attached to options_.executor (start() set it
+  // up, stop() has not yet detached). Guarded by queue_mutex_.
   std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   std::deque<Job> jobs_;
   bool running_ = false;
-  /// Pooled mode: attached to options_.executor (start() set it up,
-  /// stop() has not yet detached). Guarded by queue_mutex_.
-  bool pool_attached_ = false;
   std::chrono::steady_clock::time_point next_epoch_;
-  std::thread thread_;
 };
 
 }  // namespace acorn::service

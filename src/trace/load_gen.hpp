@@ -11,8 +11,8 @@
 // WLAN k's events are identical whether the fleet holds 1 WLAN or
 // 10000, and the cross-WLAN merge is a stable sort by time — the same
 // config always yields the same byte-for-byte schedule, which is what
-// lets the fleet tests compare pooled and thread-per-WLAN daemons
-// event-for-event.
+// lets the fleet tests compare a pooled daemon against a WAL replay of
+// the same schedule event-for-event.
 #pragma once
 
 #include <cstdint>

@@ -1,17 +1,21 @@
 // Fleet-scale acornd: the pooled shard executor must be observationally
-// identical to the thread-per-WLAN reference mode.
+// identical to the single-threaded WAL replay that recovery runs.
 //
 // All events ride one pipelined connection, so each shard's mailbox
 // order is the send order no matter how many workers the pool has or
 // how they interleave across shards — which makes "identical" checkable
 // to the byte: after the same schedule, every WLAN's snapshot encoding
-// must match the reference mode exactly, at every worker count.
+// must match the reference exactly, at every worker count. The
+// reference groups each WLAN's messages into the WAL records a durable
+// shard would log and replays them through a never-started WlanShard's
+// constructor, exactly as recovery does after a crash.
 //
 // The fleet_smoke test (256 WLANs over 4 pooled workers, trace-driven
 // churn) is additionally labelled `fleet_smoke` so CI can run it alone
 // in the tier-1, ASan and TSan lanes.
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <variant>
@@ -21,6 +25,8 @@
 
 #include "service/client.hpp"
 #include "service/daemon.hpp"
+#include "service/eventlog.hpp"
+#include "service/shard.hpp"
 #include "service/snapshot.hpp"
 #include "trace/load_gen.hpp"
 #include "util/rng.hpp"
@@ -35,31 +41,51 @@ std::string sock_path(const char* tag, int workers) {
          "_" + std::to_string(workers) + ".sock";
 }
 
-void send_event(Client& client, const trace::LoadEvent& e) {
+Message to_message(const trace::LoadEvent& e) {
   switch (e.kind) {
     case trace::LoadEventKind::kJoin:
-      client.send(ClientJoin{e.wlan_id, e.client});
-      break;
+      return ClientJoin{e.wlan_id, e.client};
     case trace::LoadEventKind::kLeave:
-      client.send(ClientLeave{e.wlan_id, e.client});
-      break;
+      return ClientLeave{e.wlan_id, e.client};
     case trace::LoadEventKind::kSnr:
-      client.send(SnrUpdate{e.wlan_id, e.ap, e.client, e.value});
-      break;
+      return SnrUpdate{e.wlan_id, e.ap, e.client, e.value};
     case trace::LoadEventKind::kLoad:
-      client.send(LoadUpdate{e.wlan_id, e.client, e.value});
-      break;
+      return LoadUpdate{e.wlan_id, e.client, e.value};
   }
+  throw std::logic_error("unknown load event kind");
 }
 
-/// Run `events` against a fresh daemon with the given worker mode
-/// (0 = thread-per-WLAN reference) and return every WLAN's snapshot
-/// bytes. A ForceReconfigure for a rotating WLAN is interleaved every
-/// `reconfigure_stride` events — in-stream, so it lands at the same
-/// position in that WLAN's mailbox in every mode.
+/// One message of a schedule, tagged with the WLAN it is routed to.
+struct Routed {
+  std::uint32_t wlan_id = 0;
+  Message msg;
+};
+
+/// The message stream for `events`: a ForceReconfigure for a rotating
+/// WLAN is interleaved every `reconfigure_stride` events — in-stream, so
+/// it lands at the same position in that WLAN's mailbox in every run.
+std::vector<Routed> schedule_messages(
+    int num_wlans, const std::vector<trace::LoadEvent>& events,
+    int reconfigure_stride) {
+  std::vector<Routed> out;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    out.push_back(Routed{events[i].wlan_id, to_message(events[i])});
+    if (reconfigure_stride > 0 &&
+        (i + 1) % static_cast<std::size_t>(reconfigure_stride) == 0) {
+      const auto w = static_cast<std::uint32_t>(
+          1 + (i / static_cast<std::size_t>(reconfigure_stride)) %
+                  static_cast<std::size_t>(num_wlans));
+      out.push_back(Routed{w, ForceReconfigure{w}});
+    }
+  }
+  return out;
+}
+
+/// Run `messages` against a fresh daemon over `workers` pooled workers
+/// and return every WLAN's snapshot bytes.
 std::vector<std::vector<std::uint8_t>> run_schedule(
     const char* tag, int workers, int num_wlans, const std::string& floor,
-    const std::vector<trace::LoadEvent>& events, int reconfigure_stride) {
+    const std::vector<Routed>& messages) {
   DaemonConfig config;
   config.unix_path = sock_path(tag, workers);
   config.epoch_s = 0.0;  // no timer epochs: the schedule is the clock
@@ -81,20 +107,7 @@ std::vector<std::vector<std::uint8_t>> run_schedule(
   for (int w = 0; w < num_wlans; ++w) {
     pump(RegisterWlan{static_cast<std::uint32_t>(1 + w), floor});
   }
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    send_event(client, events[i]);
-    ++sent;
-    if (sent - recvd >= kWindow) {
-      (void)client.recv();
-      ++recvd;
-    }
-    if (reconfigure_stride > 0 &&
-        (i + 1) % static_cast<std::size_t>(reconfigure_stride) == 0) {
-      pump(ForceReconfigure{static_cast<std::uint32_t>(
-          1 + (i / static_cast<std::size_t>(reconfigure_stride)) %
-                  static_cast<std::size_t>(num_wlans))});
-    }
-  }
+  for (const Routed& m : messages) pump(m.msg);
   while (recvd < sent) {
     (void)client.recv();
     ++recvd;
@@ -110,6 +123,46 @@ std::vector<std::vector<std::uint8_t>> run_schedule(
   }
   client.close();
   daemon.stop();
+  return snaps;
+}
+
+void discard_reply(std::uint64_t, std::chrono::steady_clock::time_point,
+                   std::vector<std::uint8_t>) {}
+
+WlanSnapshot fresh_wlan(std::uint32_t id, const std::string& floor) {
+  WlanSnapshot state;
+  state.wlan_id = id;
+  state.deployment = floor;
+  return state;
+}
+
+/// The reference: each WLAN's messages become WAL records
+/// (seq = events-applied ordinal, payload as the shard logs it), and a
+/// never-started shard over the fresh registration replays them in its
+/// constructor — the loop recovery runs. Every record must apply, so a
+/// replay that stops early cannot pass.
+std::vector<std::vector<std::uint8_t>> replay_schedule(
+    int num_wlans, const std::string& floor,
+    const std::vector<Routed>& messages) {
+  std::vector<std::vector<WalRecord>> records(
+      static_cast<std::size_t>(num_wlans));
+  for (const Routed& m : messages) {
+    auto& log = records[m.wlan_id - 1];
+    log.push_back(WalRecord{log.size() + 1, encode_payload(0, m.msg)});
+  }
+  std::vector<std::vector<std::uint8_t>> snaps;
+  snaps.reserve(records.size());
+  for (int w = 0; w < num_wlans; ++w) {
+    const auto& log = records[static_cast<std::size_t>(w)];
+    const WlanShard shard(
+        ShardOptions{},
+        fresh_wlan(static_cast<std::uint32_t>(1 + w), floor), discard_reply,
+        log);
+    const WlanSnapshot state = shard.state_snapshot();
+    EXPECT_EQ(state.events_applied, log.size())
+        << "wlan " << (1 + w) << " replay stopped early";
+    snaps.push_back(encode_snapshot(state));
+  }
   return snaps;
 }
 
@@ -152,15 +205,13 @@ TEST(ServiceFleet, PooledMatchesReferenceOnRandomSchedules) {
   constexpr int kClients = 6;
   constexpr int kAps = 3;
   const std::string floor = trace::synthetic_floor(kAps, kClients, 11);
-  const std::vector<trace::LoadEvent> events =
-      random_schedule(kWlans, kClients, kAps, 800, 0xF1EE7);
+  const std::vector<Routed> messages = schedule_messages(
+      kWlans, random_schedule(kWlans, kClients, kAps, 800, 0xF1EE7), 37);
 
-  const auto reference =
-      run_schedule("rand", 0, kWlans, floor, events, 37);
+  const auto reference = replay_schedule(kWlans, floor, messages);
   ASSERT_EQ(reference.size(), static_cast<std::size_t>(kWlans));
   for (const int workers : {1, 2, 4}) {
-    const auto pooled =
-        run_schedule("rand", workers, kWlans, floor, events, 37);
+    const auto pooled = run_schedule("rand", workers, kWlans, floor, messages);
     ASSERT_EQ(pooled.size(), reference.size());
     for (int w = 0; w < kWlans; ++w) {
       EXPECT_EQ(pooled[static_cast<std::size_t>(w)],
@@ -185,16 +236,35 @@ TEST(ServiceFleet, FleetSmoke256WlansOver4PooledWorkers) {
   std::vector<trace::LoadEvent> events = trace::generate_fleet_load(lc);
   ASSERT_GT(events.size(), 1000u);
   if (events.size() > 4000) events.resize(4000);
+  const std::vector<Routed> messages = schedule_messages(kWlans, events, 64);
 
-  const auto reference =
-      run_schedule("smoke", 0, kWlans, floor, events, 64);
-  const auto pooled = run_schedule("smoke", 4, kWlans, floor, events, 64);
+  const auto reference = replay_schedule(kWlans, floor, messages);
+  const auto pooled = run_schedule("smoke", 4, kWlans, floor, messages);
   ASSERT_EQ(pooled.size(), reference.size());
   for (int w = 0; w < kWlans; ++w) {
     EXPECT_EQ(pooled[static_cast<std::size_t>(w)],
               reference[static_cast<std::size_t>(w)])
         << "wlan " << (1 + w) << " diverged under the pooled executor";
   }
+}
+
+TEST(ServiceFleet, StartWithoutExecutorThrowsAndShardStaysValid) {
+  const std::string floor = trace::synthetic_floor(2, 4, 3);
+  WlanShard shard(ShardOptions{}, fresh_wlan(5, floor), discard_reply);
+  EXPECT_THROW(shard.start(), std::invalid_argument);
+
+  // The never-started shard still answers state queries with the fresh
+  // registration's state, and stop() (run again by the destructor) is a
+  // no-op.
+  shard.stop();
+  const WlanSnapshot state = shard.state_snapshot();
+  EXPECT_EQ(state.wlan_id, 5u);
+  EXPECT_EQ(state.deployment, floor);
+  EXPECT_EQ(state.events_applied, 0u);
+  EXPECT_EQ(state.association.size(), 4u);
+  EXPECT_EQ(state.allocated.size(), 2u);
+  const std::vector<std::uint8_t> bytes = encode_snapshot(state);
+  EXPECT_EQ(encode_snapshot(decode_snapshot(bytes)), bytes);
 }
 
 TEST(ServiceFleet, PooledTimerEpochsFire) {
