@@ -19,10 +19,13 @@
 //   --rate R         session arrivals per WLAN per second (default 1/60)
 //   --seed S         schedule + floor seed (default 1)
 //   --workers M      pooled shard workers, 1..1024 (default: hardware
-//                    threads); a malformed value exits with status 2
+//                    threads)
 //   --epoch-every S  simulated seconds between reconfigurations (300)
 //   --state-dir DIR  persist snapshots + WAL; run twice with the same
 //                    directory to watch recovery before the replay
+//
+// A malformed or out-of-range numeric value exits with status 2 and a
+// message naming the flag, before the daemon binds its socket.
 //
 // The same flags always produce the same schedule, so two runs — at any
 // worker count — drive the daemon through identical per-WLAN event
@@ -31,7 +34,7 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <variant>
@@ -78,22 +81,28 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : "";
     };
     if (std::strcmp(argv[i], "--wlans") == 0) {
-      load.num_wlans = static_cast<std::uint32_t>(std::atoi(value()));
+      load.num_wlans = util::parse_flag<std::uint32_t>(argv[0], "--wlans",
+                                                       value(), 1, 100000);
     } else if (std::strcmp(argv[i], "--clients") == 0) {
-      load.clients_per_wlan = std::atoi(value());
+      load.clients_per_wlan =
+          util::parse_flag(argv[0], "--clients", value(), 1, 4096);
     } else if (std::strcmp(argv[i], "--aps") == 0) {
-      load.aps_per_wlan = std::atoi(value());
+      load.aps_per_wlan = util::parse_flag(argv[0], "--aps", value(), 1, 1024);
     } else if (std::strcmp(argv[i], "--horizon") == 0) {
-      load.horizon_s = std::atof(value());
+      load.horizon_s =
+          util::parse_flag(argv[0], "--horizon", value(), 1e-3, 1e9);
     } else if (std::strcmp(argv[i], "--rate") == 0) {
-      load.arrivals_per_s = std::atof(value());
+      load.arrivals_per_s =
+          util::parse_flag(argv[0], "--rate", value(), 1e-9, 1e6);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      load.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      load.seed = util::parse_flag<std::uint64_t>(
+          argv[0], "--seed", value(), 0, UINT64_MAX);
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       config.workers =
           util::parse_flag(argv[0], "--workers", value(), 1, kMaxWorkers);
     } else if (std::strcmp(argv[i], "--epoch-every") == 0) {
-      epoch_every_s = std::atof(value());
+      epoch_every_s =
+          util::parse_flag(argv[0], "--epoch-every", value(), 1e-3, 1e9);
     } else if (std::strcmp(argv[i], "--state-dir") == 0) {
       config.state_dir = value();
     } else if (std::strcmp(argv[i], "--wal-mode") == 0) {
@@ -111,12 +120,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (load.num_wlans == 0 || load.horizon_s <= 0.0 || epoch_every_s <= 0.0) {
-    std::fprintf(stderr, "need --wlans >= 1, --horizon > 0, "
-                         "--epoch-every > 0\n");
-    return 2;
-  }
-
   Daemon daemon(config);
   daemon.start();
   Client client = Client::connect_unix(config.unix_path);

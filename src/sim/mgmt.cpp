@@ -19,10 +19,10 @@ Beacon build_beacon(const Wlan& wlan, const net::InterferenceGraph& graph,
   beacon.num_clients = static_cast<int>(clients.size());
   beacon.access_share = net::medium_access_share(graph, assignment, ap);
   const phy::ChannelWidth width = beacon.channel.width();
-  for (int c : clients) {
-    const double d = wlan.client_delay_s_per_bit(ap, c, width);
-    beacon.client_ids.push_back(c);
-    beacon.client_delays_s_per_bit.push_back(d);
+  beacon.client_ids = clients;
+  beacon.client_delays_s_per_bit =
+      wlan.client_delays_s_per_bit(ap, clients, width);
+  for (const double d : beacon.client_delays_s_per_bit) {
     beacon.atd_s_per_bit += d;
   }
   return beacon;

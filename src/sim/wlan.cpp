@@ -35,20 +35,38 @@ phy::RateDecision Wlan::client_rate(int ap, int client,
                         config_.gi);
 }
 
-Wlan::ClientLink Wlan::client_link(phy::ChannelWidth width,
+Wlan::ClientLink Wlan::client_link(const phy::RateTable* table,
+                                   phy::ChannelWidth width,
                                    double snr_db) const {
+  if (table != nullptr) {
+    const phy::RateTable::Segment& seg = table->segment_for_snr(snr_db);
+    return ClientLink{seg.rate_bps,
+                      link_model_.per(phy::mcs(seg.mcs_index), snr_db)};
+  }
   const phy::RateDecision rate =
       phy::best_rate(link_model_, width, snr_db, config_.gi);
-  const phy::McsEntry& entry = phy::mcs(rate.mcs_index);
-  return ClientLink{entry.rate_bps(width, config_.gi), rate.per};
+  return ClientLink{phy::mcs(rate.mcs_index).rate_bps(width, config_.gi),
+                    rate.per};
 }
 
 double Wlan::client_delay_s_per_bit(int ap, int client,
                                     phy::ChannelWidth width) const {
-  const ClientLink link =
-      client_link(width, client_snr_db(ap, client, width));
-  return mac::per_bit_delay_s(config_.timing, link.rate_bps,
-                              config_.payload_bytes * 8, link.per);
+  return client_delays_s_per_bit(ap, {client}, width).front();
+}
+
+std::vector<double> Wlan::client_delays_s_per_bit(
+    int ap, const std::vector<int>& clients, phy::ChannelWidth width) const {
+  std::vector<double> out;
+  out.reserve(clients.size());
+  if (clients.empty()) return out;
+  const auto table = phy::RateTable::shared(link_model_, width, config_.gi);
+  for (int c : clients) {
+    const ClientLink link =
+        client_link(table.get(), width, client_snr_db(ap, c, width));
+    out.push_back(mac::per_bit_delay_s(config_.timing, link.rate_bps,
+                                       config_.payload_bytes * 8, link.per));
+  }
+  return out;
 }
 
 std::vector<int> Wlan::clients_of(const net::Association& assoc, int ap) const {
@@ -101,7 +119,7 @@ double Wlan::hidden_interference_mw(
 
 ApStats Wlan::evaluate_cell(int ap, const std::vector<int>& clients,
                             phy::ChannelWidth width, double medium_share,
-                            mac::TrafficType traffic,
+                            mac::TrafficType traffic, RateRoute route,
                             const CellContext* context) const {
   ApStats stats;
   stats.ap_id = ap;
@@ -109,6 +127,8 @@ ApStats Wlan::evaluate_cell(int ap, const std::vector<int>& clients,
   stats.medium_share = medium_share;
   if (clients.empty()) return stats;
 
+  const auto table = route == RateRoute::kSpec ? nullptr
+                     : phy::RateTable::shared(link_model_, width, config_.gi);
   std::vector<mac::CellClient> cell;
   cell.reserve(clients.size());
   for (int c : clients) {
@@ -121,7 +141,7 @@ ApStats Wlan::evaluate_cell(int ap, const std::vector<int>& clients,
           ap, c, context->channel, *context->graph, *context->assignment);
       snr_db -= util::lin_to_db((noise_mw + interference_mw) / noise_mw);
     }
-    const ClientLink link = client_link(width, snr_db);
+    const ClientLink link = client_link(table.get(), width, snr_db);
     cell.push_back(mac::CellClient{c, link.rate_bps, link.per});
   }
   const mac::CellThroughput mac_result = mac::anomaly_throughput(
@@ -143,37 +163,16 @@ ApStats Wlan::evaluate_cell(int ap, const std::vector<int>& clients,
 double Wlan::isolated_cell_bps(int ap, const std::vector<int>& clients,
                                phy::ChannelWidth width,
                                mac::TrafficType traffic) const {
-  if (clients.empty()) return 0.0;
-  // The isolated bound is evaluated once per (AP, width) for every
-  // candidate association move, so rate selection goes through the
-  // process-wide RateTable (threshold scan + one PER evaluation) instead
-  // of re-running the 16-row `best_rate` sweep per client.
-  const std::shared_ptr<const phy::RateTable> table =
-      phy::RateTable::shared(link_model_, width, config_.gi);
-  std::vector<mac::CellClient> cell;
-  cell.reserve(clients.size());
-  for (int c : clients) {
-    const double snr_db = client_snr_db(ap, c, width);
-    const phy::RateTable::Segment& seg = table->segment_for_snr(snr_db);
-    const double per = link_model_.per(phy::mcs(seg.mcs_index), snr_db);
-    cell.push_back(mac::CellClient{c, seg.rate_bps, per});
-  }
-  const mac::CellThroughput mac_result = mac::anomaly_throughput(
-      config_.timing, cell, 1.0, config_.payload_bytes * 8);
-  double total = 0.0;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    total += mac::transport_goodput_bps(config_.traffic, traffic,
-                                        mac_result.per_client_bps,
-                                        cell[i].per);
-  }
-  return total;
+  return evaluate_cell(ap, clients, width, 1.0, traffic, RateRoute::kTable)
+      .goodput_bps;
 }
 
 double Wlan::isolated_cell_bps_reference(int ap,
                                          const std::vector<int>& clients,
                                          phy::ChannelWidth width,
                                          mac::TrafficType traffic) const {
-  return evaluate_cell(ap, clients, width, 1.0, traffic).goodput_bps;
+  return evaluate_cell(ap, clients, width, 1.0, traffic, RateRoute::kSpec)
+      .goodput_bps;
 }
 
 double Wlan::isolated_best_bps(int ap, const std::vector<int>& clients,
@@ -188,13 +187,10 @@ ApStats Wlan::evaluate_cell_in(int ap, const std::vector<int>& clients,
                                const net::InterferenceGraph& graph,
                                const net::ChannelAssignment& assignment,
                                mac::TrafficType traffic) const {
-  CellContext context;
-  context.graph = &graph;
-  context.assignment = &assignment;
-  context.channel = assignment[static_cast<std::size_t>(ap)];
-  return evaluate_cell(ap, clients,
-                       assignment[static_cast<std::size_t>(ap)].width(),
-                       medium_share, traffic, &context);
+  const CellContext context{&graph, &assignment,
+                            assignment[static_cast<std::size_t>(ap)]};
+  return evaluate_cell(ap, clients, context.channel.width(), medium_share,
+                       traffic, RateRoute::kTable, &context);
 }
 
 Evaluation Wlan::evaluate(const net::Association& assoc,
@@ -225,9 +221,12 @@ Evaluation Wlan::evaluate_reference(const net::Association& assoc,
         config_.weighted_contention
             ? net::medium_access_share_weighted(graph, assignment, ap)
             : net::medium_access_share(graph, assignment, ap);
-    const ApStats stats = evaluate_cell_in(
-        ap, clients[static_cast<std::size_t>(ap)], share, graph, assignment,
-        traffic);
+    const CellContext context{&graph, &assignment,
+                              assignment[static_cast<std::size_t>(ap)]};
+    const ApStats stats =
+        evaluate_cell(ap, clients[static_cast<std::size_t>(ap)],
+                      context.channel.width(), share, traffic,
+                      RateRoute::kSpec, &context);
     eval.total_goodput_bps += stats.goodput_bps;
     eval.per_ap.push_back(stats);
   }

@@ -15,6 +15,10 @@
 #include "net/interference.hpp"
 #include "phy/rate_control.hpp"
 
+namespace acorn::phy {
+class RateTable;
+}  // namespace acorn::phy
+
 namespace acorn::sim {
 
 struct WlanConfig {
@@ -69,24 +73,38 @@ class Wlan {
   double client_snr_db(int ap, int client, phy::ChannelWidth width) const;
 
   /// Auto-rate decision (MCS, mode, PER, goodput) for a client at a width.
+  /// Runs `phy::best_rate`'s 16-row goodput sweep: the executable spec of
+  /// rate selection. Production code never calls it; the tests derive
+  /// delays, cell goodputs and Algorithm 1 utilities from it by hand and
+  /// pin the RateTable route below against them bit for bit.
   phy::RateDecision client_rate(int ap, int client,
                                 phy::ChannelWidth width) const;
 
-  /// Per-client transmission delay d_u (s/bit) at a width.
+  /// Per-client transmission delay d_u (s/bit) at a width. Production
+  /// route: the winning row comes from the shared `phy::RateTable`
+  /// (threshold scan + one PER evaluation); bit-identical to the delay
+  /// derived from `client_rate`.
   double client_delay_s_per_bit(int ap, int client,
                                 phy::ChannelWidth width) const;
 
+  /// `client_delay_s_per_bit` for every client of `clients` (in order) at
+  /// AP `ap`, fetching the RateTable once for the whole list. Algorithm 1's
+  /// beacons (sim::make_beacon*) take their delay lists from here.
+  std::vector<double> client_delays_s_per_bit(
+      int ap, const std::vector<int>& clients, phy::ChannelWidth width) const;
+
   /// Evaluate one cell in isolation (medium share 1) at a given width;
-  /// used for the isolated-throughput bound Y* (paper §4.2, Fig. 14).
-  /// Rate selection goes through the shared phy::RateTable; the result
-  /// is bit-identical to `isolated_cell_bps_reference`.
+  /// used for the isolated-throughput bound Y* (paper §4.2, Fig. 14) and
+  /// the width-only `core::decide_width`. The same per-cell body as
+  /// `evaluate_cell_in` at share 1 on the RateTable route; bit-identical to
+  /// `isolated_cell_bps_reference`.
   double isolated_cell_bps(int ap, const std::vector<int>& clients,
                            phy::ChannelWidth width,
                            mac::TrafficType traffic =
                                mac::TrafficType::kUdp) const;
 
-  /// The original `best_rate`-per-client isolated path, kept as the
-  /// executable specification the RateTable route is property-tested
+  /// The same cell body on the `best_rate` route (`client_rate`), kept as
+  /// the executable specification the RateTable route is property-tested
   /// against (tests/test_sim_wlan.cpp asserts bit-identity).
   double isolated_cell_bps_reference(int ap, const std::vector<int>& clients,
                                      phy::ChannelWidth width,
@@ -108,8 +126,9 @@ class Wlan {
                       mac::TrafficType traffic =
                           mac::TrafficType::kUdp) const;
 
-  /// The original object-at-a-time evaluation path, kept as the
-  /// executable specification the flat engine is property-tested against
+  /// The original object-at-a-time evaluation path with `best_rate` rate
+  /// selection, kept as the executable specification the flat engine and
+  /// the RateTable route are property-tested against
   /// (tests/test_sim_netkernel.cpp asserts bit-identical Evaluations).
   Evaluation evaluate_reference(const net::Association& assoc,
                                 const net::ChannelAssignment& assignment,
@@ -129,9 +148,9 @@ class Wlan {
   /// Evaluate AP `ap`'s cell exactly as `evaluate` would under
   /// (assignment, graph): width and hidden-interference context come from
   /// the assignment, `medium_share` is supplied by the caller (who may
-  /// have computed or cached it). Delta hook for incremental oracles that
-  /// re-evaluate only the cells a channel flip actually changed; the
-  /// result is bit-identical to the corresponding `evaluate` entry.
+  /// have computed or cached it). Used by the context-aware width fallback
+  /// (`core::decide_width`) on the RateTable route; the result is
+  /// bit-identical to the corresponding `evaluate` entry.
   ApStats evaluate_cell_in(int ap, const std::vector<int>& clients,
                            double medium_share,
                            const net::InterferenceGraph& graph,
@@ -152,13 +171,20 @@ class Wlan {
  private:
   /// One client's auto-rate outcome, expanded to what the MAC model
   /// consumes: the PHY rate at the configured GI and the packet error
-  /// rate. Single source for `evaluate_cell` and `client_delay_s_per_bit`
-  /// so the rate decision is computed (and expanded) once.
+  /// rate. `table` non-null is the production route (its segment's rate
+  /// plus one PER evaluation); null runs the `best_rate` spec. Both give
+  /// the same bits.
   struct ClientLink {
     double rate_bps = 0.0;
     double per = 0.0;
   };
-  ClientLink client_link(phy::ChannelWidth width, double snr_db) const;
+  ClientLink client_link(const phy::RateTable* table, phy::ChannelWidth width,
+                         double snr_db) const;
+
+  /// The rate route a cell evaluation takes: kTable fetches the shared
+  /// RateTable once per cell (every public evaluator), kSpec runs
+  /// `best_rate` per client (the `*_reference` specifications only).
+  enum class RateRoute { kTable, kSpec };
 
   struct CellContext {
     const net::InterferenceGraph* graph = nullptr;
@@ -167,7 +193,7 @@ class Wlan {
   };
   ApStats evaluate_cell(int ap, const std::vector<int>& clients,
                         phy::ChannelWidth width, double medium_share,
-                        mac::TrafficType traffic,
+                        mac::TrafficType traffic, RateRoute route,
                         const CellContext* context = nullptr) const;
 
   net::Topology topology_;

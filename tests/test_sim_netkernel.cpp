@@ -99,6 +99,17 @@ TEST(NetSnapshot, BitIdenticalToReferenceOnRandomTopologies) {
       expect_identical(snap.evaluate(f, traffic), expected);
       // And the public entry point, which delegates to a fresh snapshot.
       expect_identical(wlan.evaluate(assoc, f, traffic), expected);
+      // And the per-cell entry point the width fallback runs on the
+      // RateTable route, at the reference's shares.
+      const std::vector<std::vector<int>> clients = wlan.clients_by_ap(assoc);
+      Evaluation cells;
+      for (const ApStats& e : expected.per_ap) {
+        cells.per_ap.push_back(wlan.evaluate_cell_in(
+            e.ap_id, clients[static_cast<std::size_t>(e.ap_id)],
+            e.medium_share, snap.graph(), f, traffic));
+        cells.total_goodput_bps += cells.per_ap.back().goodput_bps;
+      }
+      expect_identical(cells, expected);
     }
     ++scenarios;
   }
