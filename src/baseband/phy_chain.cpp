@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "baseband/convolutional.hpp"
@@ -34,14 +35,39 @@ const phy::McsEntry& entry_for(const PhyChainConfig& cfg) {
   return phy::mcs(cfg.mcs_index);
 }
 
-// All the intermediate buffers of one coded roundtrip, sized once for a
-// payload length so the per-packet loop is allocation-free. The zero
-// padding that fills the last OFDM symbol is written at construction and
-// never overwritten (puncture_into only touches the punctured prefix).
+// resize() for a scratch buffer whose contents are dead: one that must
+// grow is released first and reserved at exactly `n`. A plain resize()
+// would copy the old contents and may round the capacity up to twice the
+// old size.
+template <class T>
+void size_scratch(std::vector<T>& v, std::size_t n) {
+  if (n > v.capacity()) {
+    std::vector<T>().swap(v);
+    v.reserve(n);
+  }
+  v.resize(n);
+}
+
+// All the intermediate buffers of one coded roundtrip, sized for a
+// payload length and MCS so the per-packet loop is allocation-free. The
+// zero padding that fills the last OFDM symbol is written by reshape()
+// and never overwritten (puncture_into only touches the punctured
+// prefix).
 struct ChainWorkspace {
+  ChainWorkspace() = default;
   ChainWorkspace(std::size_t n_bits, const phy::McsEntry& entry,
                  const Ofdm& ofdm, const BlockInterleaver& interleaver,
-                 int num_taps) {
+                 int num_taps, bool soft) {
+    reshape(n_bits, entry, ofdm, interleaver, num_taps, soft);
+  }
+
+  // Size the buffers a shape uses, in place: capacities only grow, so a
+  // workspace that cycles through shapes stops allocating once it has
+  // held the largest of each buffer. Only the receive buffers of one
+  // decision mode (`soft`) are sized.
+  void reshape(std::size_t n_bits, const phy::McsEntry& entry,
+               const Ofdm& ofdm, const BlockInterleaver& interleaver,
+               int num_taps, bool soft) {
     coded_len = ConvolutionalCode::encoded_length(n_bits);
     punctured_len = punctured_length(coded_len, entry.code_rate);
     const auto n_cbps = static_cast<std::size_t>(interleaver.block_size());
@@ -54,23 +80,26 @@ struct ChainWorkspace {
     const auto slen = static_cast<std::size_t>(ofdm.symbol_length());
     const auto fft = static_cast<std::size_t>(ofdm.fft_size());
 
-    scrambled.resize(n_bits);
-    coded.resize(coded_len);
+    size_scratch(scrambled, n_bits);
+    size_scratch(coded, coded_len);
     tx_bits.assign(padded, 0);  // pad bits beyond punctured_len stay zero
-    inter.resize(padded);
-    symbols.resize(n_qam);
-    tx.resize(n_ofdm * slen);
-    rx.resize(n_ofdm * slen + static_cast<std::size_t>(num_taps) - 1);
-    h.resize(fft);
-    eq.resize(n_qam);
-    scratch.resize(fft);
-    rx_bits.resize(padded);
-    deinter.resize(padded);
-    depunct.resize(coded_len);
-    noise_vars.resize(n_qam);
-    llrs.resize(padded);
-    deinter_llrs.resize(padded);
-    depunct_soft.resize(coded_len);
+    size_scratch(inter, padded);
+    size_scratch(symbols, n_qam);
+    size_scratch(tx, n_ofdm * slen);
+    size_scratch(rx, n_ofdm * slen + static_cast<std::size_t>(num_taps) - 1);
+    size_scratch(h, fft);
+    size_scratch(eq, n_qam);
+    size_scratch(scratch, fft);
+    if (soft) {
+      size_scratch(noise_vars, n_qam);
+      size_scratch(llrs, padded);
+      size_scratch(deinter_llrs, padded);
+      size_scratch(depunct_soft, coded_len);
+    } else {
+      size_scratch(rx_bits, padded);
+      size_scratch(deinter, padded);
+      size_scratch(depunct, coded_len);
+    }
     viterbi.reserve(coded_len / 2);
   }
 
@@ -165,7 +194,7 @@ struct ChainCtx {
   ChainCtx(const PhyChainConfig& cfg, const phy::McsEntry& entry,
            const Ofdm& ofdm, const BlockInterleaver& interleaver)
       : ws(static_cast<std::size_t>(cfg.packet_bytes) * 8, entry, ofdm,
-           interleaver, cfg.num_taps),
+           interleaver, cfg.num_taps, cfg.soft_decision),
         channel([&] {
           util::Rng scratch_rng(0);
           return FadingChannel(channel_config(cfg), scratch_rng);
@@ -180,21 +209,60 @@ struct ChainCtx {
   std::vector<std::uint8_t> decoded;
 };
 
+// phy_chain_roundtrip's per-thread state: the OFDM and interleaver
+// tables of each (width, modulation), built on first use, and one
+// workspace reshaped whenever the packet shape changes.
+struct RoundtripScratch {
+  struct Tables {
+    Ofdm ofdm;
+    BlockInterleaver interleaver;
+  };
+  struct Shape {
+    std::size_t n_bits = 0;
+    int mcs_index = -1;
+    phy::ChannelWidth width = phy::ChannelWidth::k20MHz;
+    int num_taps = 0;
+    bool soft = false;
+    bool operator==(const Shape&) const = default;
+  };
+
+  const Tables& tables_for(phy::ChannelWidth width,
+                           phy::Modulation modulation) {
+    std::optional<Tables>& t = tables[static_cast<int>(width)]
+                                     [static_cast<int>(modulation)];
+    if (!t) {
+      t.emplace(Tables{Ofdm(width),
+                       BlockInterleaver::for_ht(width, modulation)});
+    }
+    return *t;
+  }
+
+  std::optional<Tables> tables[2][4];  // [ChannelWidth][Modulation]
+  Shape shape;
+  ChainWorkspace ws;
+};
+
 }  // namespace
 
 std::vector<std::uint8_t> phy_chain_roundtrip(
     const PhyChainConfig& config, std::span<const std::uint8_t> bits,
     FadingChannel& channel, util::Rng& rng) {
   const phy::McsEntry& entry = entry_for(config);
-  const Ofdm ofdm(config.width);
-  const BlockInterleaver interleaver =
-      BlockInterleaver::for_ht(config.width, entry.modulation);
+  thread_local RoundtripScratch scratch;
+  const RoundtripScratch::Tables& t =
+      scratch.tables_for(config.width, entry.modulation);
+  const RoundtripScratch::Shape shape{bits.size(), config.mcs_index,
+                                      config.width, channel.config().num_taps,
+                                      config.soft_decision};
+  if (scratch.shape != shape) {
+    scratch.ws.reshape(bits.size(), entry, t.ofdm, t.interleaver,
+                       shape.num_taps, shape.soft);
+    scratch.shape = shape;
+  }
   const ConvolutionalCode code;
-  ChainWorkspace ws(bits.size(), entry, ofdm, interleaver,
-                    channel.config().num_taps);
   std::vector<std::uint8_t> decoded(bits.size());
-  roundtrip_into(config, entry, ofdm, interleaver, code, ws, bits, channel,
-                 rng, decoded);
+  roundtrip_into(config, entry, t.ofdm, t.interleaver, code, scratch.ws,
+                 bits, channel, rng, decoded);
   return decoded;
 }
 

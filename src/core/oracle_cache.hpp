@@ -22,7 +22,8 @@
 // Results are bit-identical to `Wlan::evaluate(...).total_goodput_bps`:
 // cache misses run the exact same per-cell kernel the evaluator uses
 // (`NetSnapshot::evaluate_cell`, itself property-tested bit-identical to
-// the legacy `Wlan::evaluate_cell_in` reference path) and cache hits
+// `Wlan::evaluate_cell_in` on the production RateTable route and to the
+// `best_rate` specification `Wlan::evaluate_reference`) and cache hits
 // replay a previously computed double unchanged. The
 // memoization is guarded by a mutex, so one CachedOracle may be shared by
 // the allocator's optional scan threads.

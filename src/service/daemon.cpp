@@ -47,6 +47,10 @@ void set_nonblocking(int fd) {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
+/// The daemon whose poll loop runs on this thread, if any: completions
+/// posted from that loop (inline shard passes) skip the wake pipe.
+thread_local const Daemon* t_loop_daemon = nullptr;
+
 }  // namespace
 
 Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {}
@@ -283,6 +287,13 @@ void Daemon::post_completion(Completion c) {
     const std::lock_guard<std::mutex> lock(comp_mutex_);
     completions_.push_back(std::move(c));
   }
+  // Queued behind every earlier completion, so a connection's replies
+  // keep their order across the inline and worker routes; the loop
+  // drains it at the end of the current read batch.
+  if (t_loop_daemon == this) {
+    loop_posted_ = true;
+    return;
+  }
   // A full pipe means a wake byte is already pending; EAGAIN is fine.
   const ssize_t ignored [[maybe_unused]] = ::write(wake_fds_[1], "x", 1);
 }
@@ -292,6 +303,7 @@ void Daemon::loop() {
   auto last_log = clock::now();
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> pfd_conn;  // conn id per pollfd (0 = listener)
+  t_loop_daemon = this;
 
   while (running_.load()) {
     pfds.clear();
@@ -367,13 +379,15 @@ void Daemon::loop() {
                             : 0.0;
         std::fprintf(stderr,
                      "acornd: %u wlans / %d workers, %llu frames, "
-                     "%llu events, %llu epochs (p50 %.1f ms, p99 %.1f ms), "
+                     "%llu events (%llu inline), "
+                     "%llu epochs (p50 %.1f ms, p99 %.1f ms), "
                      "%llu snapshots, %llu wal syncs "
                      "(avg batch %.1f, p99 sync %.0f us)\n",
                      s.num_wlans,
                      executor_->workers(),
                      static_cast<unsigned long long>(s.frames_rx),
                      static_cast<unsigned long long>(s.events_total),
+                     static_cast<unsigned long long>(inline_events()),
                      static_cast<unsigned long long>(s.epochs_total),
                      latency_percentile_us(eh, 0.5) / 1e3,
                      latency_percentile_us(eh, 0.99) / 1e3,
@@ -383,6 +397,7 @@ void Daemon::loop() {
       }
     }
   }
+  t_loop_daemon = nullptr;
   running_.store(false);
 }
 
@@ -404,12 +419,23 @@ void Daemon::accept_all(int listen_fd) {
     set_nonblocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    conns_.emplace(next_conn_id_, Conn{fd, {}, {}, 0});
+    conns_.emplace(next_conn_id_, Conn{fd, {}, {}, 0, false});
     ++next_conn_id_;
   }
 }
 
 void Daemon::handle_readable(std::uint64_t conn_id) {
+  read_and_dispatch(conn_id);
+  // The batch's replies, inline passes' included, leave in one write per
+  // connection.
+  if (std::exchange(loop_posted_, false)) {
+    drain_completions();
+  } else {
+    flush_queued();
+  }
+}
+
+void Daemon::read_and_dispatch(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Conn& conn = it->second;
@@ -418,6 +444,9 @@ void Daemon::handle_readable(std::uint64_t conn_id) {
     const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
     if (n > 0) {
       conn.in.append(buf, static_cast<std::size_t>(n));
+      // A short read emptied the socket; anything arriving later shows
+      // up in the next poll, so skip the read that would only say EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -434,6 +463,9 @@ void Daemon::handle_readable(std::uint64_t conn_id) {
       // The stream is desynchronized: answer with an error (best
       // effort) and drop the connection.
       metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      // Replies to the frames before the garbage go out ahead of the
+      // error.
+      if (std::exchange(loop_posted_, false)) drain_completions();
       reply_now(conn_id, 0,
                 ErrorReply{static_cast<std::uint16_t>(ErrorCode::kBadArgument),
                            e.what()},
@@ -446,13 +478,14 @@ void Daemon::handle_readable(std::uint64_t conn_id) {
     }
     if (!frame) return;
     metrics_.frames_rx.fetch_add(1, std::memory_order_relaxed);
-    dispatch(conn_id, std::move(*frame), t0);
+    dispatch(conn_id, std::move(*frame), t0, conn.in.buffered() == 0);
     if (conns_.find(conn_id) == conns_.end()) return;  // dispatch closed it
   }
 }
 
 void Daemon::dispatch(std::uint64_t conn_id, Frame frame,
-                      std::chrono::steady_clock::time_point t0) {
+                      std::chrono::steady_clock::time_point t0,
+                      bool last_buffered) {
   metrics_.events_total.fetch_add(1, std::memory_order_relaxed);
   const std::uint32_t seq = frame.seq;
 
@@ -585,8 +618,15 @@ void Daemon::dispatch(std::uint64_t conn_id, Frame frame,
               t0);
     return;
   }
-  shard->submit(WlanShard::Job{WlanShard::Job::Kind::kMessage, conn_id, seq,
-                               t0, std::move(frame.msg)});
+  WlanShard::Job job{WlanShard::Job::Kind::kMessage, conn_id, seq, t0,
+                     std::move(frame.msg)};
+  // A client with more frames buffered behind this one is pipelining:
+  // hand its events to the workers so the backlog spreads over them.
+  if (last_buffered) {
+    shard->run_or_submit(std::move(job));
+  } else {
+    shard->submit(std::move(job));
+  }
 }
 
 WlanShard* Daemon::find_shard(std::uint32_t wlan_id) {
@@ -607,19 +647,34 @@ void Daemon::enqueue_bytes(std::uint64_t conn_id,
   if (it == conns_.end()) return;  // client went away; drop the reply
   Conn& conn = it->second;
   if (conn.out_pos == conn.out.size()) {
-    conn.out.clear();
+    conn.out = std::move(bytes);
     conn.out_pos = 0;
+  } else {
+    conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
   }
-  conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
-  flush(conn);
-  if (conn.out.size() - conn.out_pos > kMaxConnOutBytes) {
-    std::fprintf(stderr,
-                 "acornd: dropping connection %llu: %zu unread reply "
-                 "bytes buffered\n",
-                 static_cast<unsigned long long>(conn_id),
-                 conn.out.size() - conn.out_pos);
-    close_conn(conn_id);
+  if (!conn.flush_queued) {
+    conn.flush_queued = true;
+    flush_queue_.push_back(conn_id);
   }
+}
+
+void Daemon::flush_queued() {
+  for (const std::uint64_t conn_id : flush_queue_) {
+    const auto it = conns_.find(conn_id);
+    if (it == conns_.end()) continue;  // closed since its reply queued
+    Conn& conn = it->second;
+    conn.flush_queued = false;
+    flush(conn);
+    if (conn.out.size() - conn.out_pos > kMaxConnOutBytes) {
+      std::fprintf(stderr,
+                   "acornd: dropping connection %llu: %zu unread reply "
+                   "bytes buffered\n",
+                   static_cast<unsigned long long>(conn_id),
+                   conn.out.size() - conn.out_pos);
+      close_conn(conn_id);
+    }
+  }
+  flush_queue_.clear();
 }
 
 void Daemon::flush(Conn& conn) {
@@ -656,15 +711,16 @@ void Daemon::close_conn(std::uint64_t conn_id) {
 }
 
 void Daemon::drain_completions() {
-  std::vector<Completion> batch;
   {
     const std::lock_guard<std::mutex> lock(comp_mutex_);
-    batch.swap(completions_);
+    drain_batch_.swap(completions_);
   }
-  for (Completion& c : batch) {
+  for (Completion& c : drain_batch_) {
     metrics_.request_latency.record(std::chrono::steady_clock::now() - c.t0);
     enqueue_bytes(c.conn_id, std::move(c.frame));
   }
+  drain_batch_.clear();
+  flush_queued();
 }
 
 StatsReply Daemon::stats() const {

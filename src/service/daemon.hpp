@@ -6,10 +6,16 @@
 //
 //   * registry operations (register/remove WLAN), stats queries and
 //     shutdown are handled inline on the loop thread;
-//   * WLAN-scoped events (join/leave/SNR/load/reconfigure/config) are
-//     forwarded to that WLAN's shard worker (service/shard.hpp), whose
-//     reply comes back through a completion queue + wake pipe and is
-//     written out by the loop.
+//   * WLAN-scoped events (join/leave/SNR/load/reconfigure/config) go to
+//     that WLAN's shard (service/shard.hpp). When the frame is the last
+//     one buffered on its connection, the event is cheap (join, leave,
+//     SNR, load) and the shard is idle, the loop runs the shard's pass
+//     itself (run to completion). Otherwise a pooled worker runs it and
+//     the reply comes back through a completion queue + wake pipe.
+//
+// Replies are appended to their connection's output buffer and written
+// once per connection after each read batch and each completion drain,
+// not once per reply.
 //
 // A framing error on a connection (garbage length prefix, unknown type,
 // truncated body) closes that connection: once the stream is
@@ -127,6 +133,10 @@ class Daemon {
 
   /// Aggregated daemon + shard statistics (same data as a StatsReply).
   StatsReply stats() const;
+  /// Events applied on the poll-loop thread instead of a pooled worker.
+  std::uint64_t inline_events() const {
+    return metrics_.inline_events.load(std::memory_order_relaxed);
+  }
 
   /// Registered WLAN ids, ascending.
   std::vector<std::uint32_t> wlan_ids() const;
@@ -140,6 +150,7 @@ class Daemon {
     FrameBuffer in;
     std::vector<std::uint8_t> out;
     std::size_t out_pos = 0;
+    bool flush_queued = false;  // listed in flush_queue_
   };
   struct Completion {
     std::uint64_t conn_id = 0;
@@ -150,12 +161,17 @@ class Daemon {
   void loop();
   void accept_all(int listen_fd);
   void handle_readable(std::uint64_t conn_id);
+  void read_and_dispatch(std::uint64_t conn_id);
+  /// `last_buffered`: no further bytes wait on the connection after
+  /// this frame (the one-in-flight case the inline route is for).
   void dispatch(std::uint64_t conn_id, Frame frame,
-                std::chrono::steady_clock::time_point t0);
+                std::chrono::steady_clock::time_point t0, bool last_buffered);
   void reply_now(std::uint64_t conn_id, std::uint32_t seq, Message msg,
                  std::chrono::steady_clock::time_point t0);
   void enqueue_bytes(std::uint64_t conn_id, std::vector<std::uint8_t> bytes);
   void flush(Conn& conn);
+  /// One write per connection with replies queued since the last call.
+  void flush_queued();
   void close_conn(std::uint64_t conn_id);
   void drain_completions();
   void post_completion(Completion c);
@@ -190,6 +206,13 @@ class Daemon {
 
   std::map<std::uint64_t, Conn> conns_;  // loop thread only
   std::uint64_t next_conn_id_ = 1;       // loop thread only
+  /// Connections with unwritten replies, in first-queued order; loop
+  /// thread only.
+  std::vector<std::uint64_t> flush_queue_;
+  /// A completion was posted on the loop thread itself (an inline pass
+  /// or a shard drained on RemoveWlan): drain before the next poll
+  /// instead of waking through the pipe. Loop thread only.
+  bool loop_posted_ = false;
   /// Connections subscribed via FollowLog; loop thread only.
   std::set<std::uint64_t> follower_conns_;
   /// Listeners are not polled before this instant (set after a hard
@@ -201,6 +224,7 @@ class Daemon {
 
   std::mutex comp_mutex_;
   std::vector<Completion> completions_;
+  std::vector<Completion> drain_batch_;  // loop thread only; reused
 
   std::thread follow_thread_;  // runs follow_loop() when config_.follow set
 };

@@ -73,6 +73,9 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> frames_rx{0};
   std::atomic<std::uint64_t> events_total{0};
   std::atomic<std::uint64_t> protocol_errors{0};
+  /// Events a shard applied on the poll-loop thread (the run-to-
+  /// completion route) instead of on a pooled worker.
+  std::atomic<std::uint64_t> inline_events{0};
   LatencyHistogram request_latency;
   /// Wall time of completed reconfiguration epochs across all shards.
   LatencyHistogram epoch_latency;

@@ -203,6 +203,49 @@ void WlanShard::submit(Job job) {
   options_.executor->notify(*this);
 }
 
+void WlanShard::run_or_submit(Job job) {
+  // Per-shard WAL mode fsyncs inside the pass: keep it on the workers.
+  const bool try_inline = runs_inline(job) &&
+                          (shared_mode() || options_.state_dir.empty());
+  {
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    jobs_.push_back(std::move(job));
+  }
+  if (!try_inline || !options_.executor->run_inline(*this)) {
+    options_.executor->notify(*this);
+  }
+}
+
+bool WlanShard::runs_inline(const Job& job) {
+  return job.kind == Job::Kind::kMessage &&
+         (std::holds_alternative<ClientJoin>(job.msg) ||
+          std::holds_alternative<ClientLeave>(job.msg) ||
+          std::holds_alternative<SnrUpdate>(job.msg) ||
+          std::holds_alternative<LoadUpdate>(job.msg));
+}
+
+std::chrono::steady_clock::time_point WlanShard::run_inline_pass() {
+  constexpr auto kToWorker = std::chrono::steady_clock::time_point::min();
+  // A due epoch runs Algorithm 2 and writes a snapshot: leave the whole
+  // mailbox to the worker that runs it, in the usual jobs-first order.
+  if (std::chrono::steady_clock::now() >= next_epoch_) return kToWorker;
+  std::unique_lock<std::mutex> lock(queue_mutex_);
+  while (!jobs_.empty() && runs_inline(jobs_.front())) {
+    Job job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lock.unlock();
+    // Shared mode hands a logged event's batch to the SyncCoordinator,
+    // whose commit thread fsyncs and releases the reply.
+    process(job);
+    if (options_.metrics != nullptr) {
+      options_.metrics->inline_events.fetch_add(1, std::memory_order_relaxed);
+    }
+    lock.lock();
+  }
+  if (!jobs_.empty() || wal_dirty_) return kToWorker;
+  return next_epoch_;
+}
+
 std::chrono::steady_clock::time_point WlanShard::flush_deadline() const {
   return first_unflushed_ + std::chrono::microseconds(options_.wal_flush_us);
 }

@@ -5,7 +5,9 @@
 // incremental CachedOracle. A started shard runs as a
 // util::PooledExecutor task: one of M pooled workers drains its mailbox
 // per scheduling pass and the executor's central timer wheel drives its
-// epoch deadline. A shard that is constructed but never started is a
+// epoch deadline; a cheap event that finds the shard idle may instead be
+// applied on the submitting thread (run_or_submit, acornd's poll loop).
+// A shard that is constructed but never started is a
 // plain single-threaded replay of its snapshot + WAL records — the
 // path recovery runs. Protocol events (join/leave/SNR/load) are applied
 // immediately — Algorithm 1 associates a joining client on the spot —
@@ -179,6 +181,13 @@ class WlanShard : public util::PooledExecutor::Task {
   void stop();
 
   void submit(Job job);
+  /// submit() for a caller that holds no other request from the same
+  /// client (acornd's poll loop when the frame is the last one it has
+  /// buffered): a cheap event on an idle shard is applied on the calling
+  /// thread through PooledExecutor::run_inline — no worker hand-off, no
+  /// wake-up. Everything else, and every shard whose pass could fsync
+  /// (per-shard WAL) or is busy, takes the submit() route.
+  void run_or_submit(Job job);
 
   std::uint32_t id() const { return wlan_id_; }
   ShardCounters counters() const;
@@ -190,6 +199,13 @@ class WlanShard : public util::PooledExecutor::Task {
   /// bounded per pass for fairness, and return the next deadline (epoch
   /// timer or WAL retry) for the executor's timer wheel.
   std::chrono::steady_clock::time_point run_pass() override;
+  /// PooledExecutor::Task: the caller's-thread pass. Applies only cheap
+  /// events (see runs_inline) and never an epoch, a follower snapshot or
+  /// an fsync: when an epoch is due or anything else is queued it
+  /// returns min(), and a worker runs the rest.
+  std::chrono::steady_clock::time_point run_inline_pass() override;
+  /// Join, leave, SNR and load messages: one Algorithm 1 probe at most.
+  static bool runs_inline(const Job& job);
   /// Drain the remaining mailbox on the caller's thread (stop(), after
   /// the executor detach).
   void drain_inline();

@@ -164,6 +164,36 @@ void PooledExecutor::notify(Task& task) {
   }
 }
 
+bool PooledExecutor::run_inline(Task& task) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!task.attached_ || stop_ || task.state_ != Task::State::kIdle) {
+    return false;
+  }
+  ++task.timer_gen_;  // supersede the armed timer; the pass re-arms it
+  task.state_ = Task::State::kRunning;
+  lock.unlock();
+  const Clock::time_point next = task.run_inline_pass();
+  lock.lock();
+  finish_pass_locked(task, next);
+  return true;
+}
+
+void PooledExecutor::finish_pass_locked(Task& task, Clock::time_point next) {
+  const bool dirty = task.state_ == Task::State::kRunningDirty;
+  if (!task.attached_) {
+    // detach() is waiting for this pass to end.
+    task.state_ = Task::State::kIdle;
+    quiesce_cv_.notify_all();
+  } else if (dirty || next == Clock::time_point::min()) {
+    // More work (a notify raced the pass, or the pass yielded with
+    // backlog left): back of the queue, fair to the other shards.
+    enqueue_locked(task);
+  } else {
+    task.state_ = Task::State::kIdle;
+    if (next != Clock::time_point::max()) arm_timer_locked(task, next);
+  }
+}
+
 void PooledExecutor::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
@@ -175,19 +205,7 @@ void PooledExecutor::worker_loop() {
     lock.unlock();
     const Clock::time_point next = task->run_pass();
     lock.lock();
-    const bool dirty = task->state_ == Task::State::kRunningDirty;
-    if (!task->attached_) {
-      // detach() is waiting for this pass to end.
-      task->state_ = Task::State::kIdle;
-      quiesce_cv_.notify_all();
-    } else if (dirty || next == Clock::time_point::min()) {
-      // More work (a notify raced the pass, or the pass yielded with
-      // backlog left): back of the queue, fair to the other shards.
-      enqueue_locked(*task);
-    } else {
-      task->state_ = Task::State::kIdle;
-      if (next != Clock::time_point::max()) arm_timer_locked(*task, next);
-    }
+    finish_pass_locked(*task, next);
   }
 }
 

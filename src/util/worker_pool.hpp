@@ -81,9 +81,17 @@ class WorkerPool {
 /// run_pass() returns when the task next wants the CPU — time_point::min()
 /// to requeue immediately (backlog left), time_point::max() to sleep
 /// until the next notify(), anything else to arm a timer. Exactly one
-/// worker runs a given task at a time, and the handoff between passes is
-/// synchronized through the executor mutex, so task-local state needs no
-/// locking of its own (the single-writer invariant shards rely on).
+/// thread (a worker, or a run_inline() caller) runs a given task at a
+/// time, and the handoff between passes is synchronized through the
+/// executor mutex, so task-local state needs no locking of its own (the
+/// single-writer invariant shards rely on).
+///
+/// run_inline() is the run-to-completion entry: the caller claims an
+/// idle task through the same state machine and runs its
+/// run_inline_pass() on its own thread, skipping the hand-off to a
+/// worker; the post-pass bookkeeping is the workers' own, so a pass that
+/// leaves work behind (min(), or a notify() that raced it) is finished
+/// by a worker.
 ///
 /// Timers are central: one timer thread owns a min-heap of
 /// (deadline, generation, task) entries — the "timer wheel" that replaces
@@ -102,11 +110,16 @@ class PooledExecutor {
 
    private:
     friend class PooledExecutor;
-    /// One scheduling pass; called by exactly one worker at a time.
+    /// One scheduling pass; called by exactly one thread at a time.
     /// Returns when the task next wants to run: Clock::time_point::min()
     /// = requeue now, Clock::time_point::max() = idle until notify(),
     /// otherwise = wake at that deadline.
     virtual Clock::time_point run_pass() = 0;
+    /// The pass run_inline() runs on the caller's thread; same contract
+    /// as run_pass(). A task overrides it to keep expensive work off the
+    /// caller's thread: leave that work queued and return min(), and a
+    /// worker picks it up.
+    virtual Clock::time_point run_inline_pass() { return run_pass(); }
 
     enum class State : std::uint8_t { kIdle, kReady, kRunning,
                                       kRunningDirty };
@@ -136,6 +149,15 @@ class PooledExecutor {
   void detach(Task& task);
   /// New work arrived for the task.
   void notify(Task& task);
+  /// New work arrived and the caller will run it itself if it can: an
+  /// idle attached task is claimed kIdle -> kRunning, its
+  /// run_inline_pass() runs on the calling thread, and the pass's result
+  /// is handled exactly as after a worker's pass (dirty or min() =
+  /// requeue to a worker, a deadline = timer, a concurrent detach() =
+  /// quiesce). Returns false, running nothing, when the task is ready,
+  /// running, detached or the executor is stopping; the caller then
+  /// notify()s instead.
+  bool run_inline(Task& task);
 
  private:
   struct TimerEntry {
@@ -150,6 +172,8 @@ class PooledExecutor {
   void worker_loop();
   void timer_loop();
   void enqueue_locked(Task& task);
+  /// Post-pass bookkeeping shared by worker_loop() and run_inline().
+  void finish_pass_locked(Task& task, Clock::time_point next);
   void arm_timer_locked(Task& task, Clock::time_point deadline);
 
   const int workers_;

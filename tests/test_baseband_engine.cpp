@@ -218,6 +218,31 @@ TEST(EngineAllocation, PhyChainSteadyStateIsAllocationFree) {
   }
 }
 
+// phy_chain_roundtrip keeps its tables and workspace per thread: once a
+// shape has been seen, a call allocates only the vector it returns.
+TEST(EngineAllocation, PhyChainRoundtripReusesItsWorkspace) {
+  baseband::PhyChainConfig cfg;
+  cfg.mcs_index = 2;
+  cfg.packet_bytes = 100;
+  cfg.path_loss_db = 90.0;
+  util::Rng rng(0x99u);
+  baseband::FadingChannel channel(
+      baseband::ChannelConfig{phy::width_hz(cfg.width),
+                              cfg.noise_psd_dbm_per_hz, cfg.noise_figure_db,
+                              cfg.path_loss_db, cfg.num_taps, 2.0,
+                              cfg.rayleigh},
+      rng);
+  std::vector<std::uint8_t> bits(static_cast<std::size_t>(cfg.packet_bytes) *
+                                 8);
+  rng.fill_bits(bits);
+  (void)baseband::phy_chain_roundtrip(cfg, bits, channel, rng);
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const auto decoded = baseband::phy_chain_roundtrip(cfg, bits, channel, rng);
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 1u);  // the returned vector
+  EXPECT_EQ(decoded.size(), bits.size());
+}
+
 TEST(EngineThreads, ResolveNumThreads) {
   EXPECT_EQ(baseband::resolve_num_threads(1), 1);
   EXPECT_EQ(baseband::resolve_num_threads(4), 4);

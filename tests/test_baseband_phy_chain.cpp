@@ -170,5 +170,45 @@ TEST(PhyChain, RoundTripFunctionMatchesRunLoop) {
   EXPECT_EQ(decoded, bits);
 }
 
+// The per-thread workspace is reshaped between shapes: a packet decodes
+// the same after a call of another MCS, width, length or decision mode
+// (larger and smaller buffers, a different zero pad) as it did before.
+TEST(PhyChain, RoundTripIndependentOfPreviousShape) {
+  const auto run = [](const PhyChainConfig& cfg, std::uint64_t seed) {
+    util::Rng rng(seed);
+    FadingChannel channel(
+        ChannelConfig{phy::width_hz(cfg.width), cfg.noise_psd_dbm_per_hz,
+                      cfg.noise_figure_db, cfg.path_loss_db, cfg.num_taps,
+                      2.0, cfg.rayleigh},
+        rng);
+    std::vector<std::uint8_t> bits(
+        static_cast<std::size_t>(cfg.packet_bytes) * 8);
+    rng.fill_bits(bits);
+    return phy_chain_roundtrip(cfg, bits, channel, rng);
+  };
+  PhyChainConfig noisy = clean_config(4);
+  noisy.path_loss_db = 96.0;  // some bit errors: decoding depends on noise
+  noisy.rayleigh = true;
+  noisy.num_taps = 3;
+  PhyChainConfig other = clean_config(0);
+  other.width = phy::ChannelWidth::k40MHz;
+  other.packet_bytes = 700;
+  PhyChainConfig small = clean_config(7);
+  small.packet_bytes = 40;
+
+  PhyChainConfig soft = noisy;
+  soft.soft_decision = true;
+
+  const auto first = run(noisy, 21);
+  (void)run(other, 22);
+  EXPECT_EQ(run(noisy, 21), first);
+  (void)run(small, 23);
+  EXPECT_EQ(run(noisy, 21), first);
+  const auto first_soft = run(soft, 21);
+  EXPECT_EQ(run(noisy, 21), first);
+  (void)run(other, 22);
+  EXPECT_EQ(run(soft, 21), first_soft);
+}
+
 }  // namespace
 }  // namespace acorn::baseband

@@ -13,11 +13,15 @@
 
 #include <cstring>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -519,6 +523,280 @@ TEST(ServiceDaemon, KillAndRestartRecovery) {
     EXPECT_GT(cfg.total_goodput_bps, 0.0);
     daemon.stop();
   }
+}
+
+/// A square floor of side*side APs 25 m apart, `per_ap` clients around
+/// each: big enough that one Algorithm 2 epoch takes far longer than a
+/// round trip.
+std::string grid_deployment(int side, int per_ap) {
+  std::string text = "pathloss exponent 3.5\nchannels 12\nseed 11\n";
+  for (int y = 0; y < side; ++y) {
+    for (int x = 0; x < side; ++x) {
+      text += "ap " + std::to_string(25 * x) + " " + std::to_string(25 * y) +
+              "\n";
+    }
+  }
+  for (int y = 0; y < side; ++y) {
+    for (int x = 0; x < side; ++x) {
+      for (int k = 0; k < per_ap; ++k) {
+        text += "client " + std::to_string(25 * x + 3 + 2 * k) + " " +
+                std::to_string(25 * y + 4 - 3 * (k % 3)) + "\n";
+      }
+    }
+  }
+  return text;
+}
+
+/// Every client of a WLAN joins, pipelined on one connection.
+void join_all(Client& client, std::uint32_t wlan, std::uint32_t clients) {
+  for (std::uint32_t c = 0; c < clients; ++c) client.send(ClientJoin{wlan, c});
+  for (std::uint32_t c = 0; c < clients; ++c) {
+    ASSERT_TRUE(std::holds_alternative<OkReply>(client.recv().msg));
+  }
+}
+
+// Run to completion: a serial event to an idle shard is applied on the
+// poll loop, so it is answered even while the only worker is busy with
+// a long Algorithm 2 epoch of another WLAN — and that epoch never runs
+// on the loop.
+TEST(ServiceDaemon, SerialJoinAnsweredDuringLongReconfigure) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.0;
+  config.workers = 1;
+  Daemon daemon(config);
+  daemon.start();
+
+  Client big = Client::connect_unix(config.unix_path);
+  Client small = Client::connect_unix(config.unix_path);
+  constexpr int kSide = 6;
+  constexpr int kPerAp = 4;
+  ASSERT_TRUE(std::holds_alternative<OkReply>(
+      big.call(RegisterWlan{1, grid_deployment(kSide, kPerAp)})));
+  ASSERT_TRUE(std::holds_alternative<OkReply>(
+      small.call(RegisterWlan{2, kDeployment})));
+  join_all(big, 1, kSide * kSide * kPerAp);
+  // Let WLAN 1's worker park the shard idle, so the reconfigure meets an
+  // idle shard and the route choice is the dispatcher's, not a race.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  big.send(ForceReconfigure{1});
+  const std::uint64_t inline_before = daemon.inline_events();
+  for (std::uint32_t c = 0; c < 8; ++c) {
+    const Message reply = small.call(ClientJoin{2, c});
+    ASSERT_TRUE(std::holds_alternative<OkReply>(reply));
+  }
+  const auto joins_done = std::chrono::steady_clock::now();
+  EXPECT_EQ(daemon.inline_events() - inline_before, 8u);
+  // The reconfigure is still running on the worker.
+  big.set_recv_timeout_ms(1);
+  bool reconfigure_pending = false;
+  try {
+    (void)big.recv();
+  } catch (const std::system_error&) {
+    reconfigure_pending = true;  // timed out: no reply yet
+  }
+  EXPECT_TRUE(reconfigure_pending)
+      << "the epoch finished before the joins ("
+      << std::chrono::duration<double, std::milli>(joins_done - t0).count()
+      << " ms)";
+  if (reconfigure_pending) {
+    big.set_recv_timeout_ms(0);
+    EXPECT_TRUE(std::holds_alternative<OkReply>(big.recv().msg));
+  }
+  daemon.stop();
+}
+
+// The run-to-completion route stays off for passes that could fsync:
+// per-shard WAL mode syncs inside the pass, so every event goes to a
+// worker. Shared mode only hands a batch to the commit thread, so its
+// serial events may run inline.
+TEST(ServiceDaemon, PerShardWalEventsStayOnWorkers) {
+  for (const WalMode mode : {WalMode::kPerShard, WalMode::kShared}) {
+    const TempDir dir;
+    DaemonConfig config;
+    config.unix_path = dir.path() + "/sock";
+    config.state_dir = dir.path() + "/state";
+    config.wal_mode = mode;
+    config.epoch_s = 0.0;
+    Daemon daemon(config);
+    daemon.start();
+    Client client = Client::connect_unix(config.unix_path);
+    ASSERT_TRUE(std::holds_alternative<OkReply>(
+        client.call(RegisterWlan{1, kDeployment})));
+    for (std::uint32_t c = 0; c < 8; ++c) {
+      ASSERT_TRUE(
+          std::holds_alternative<OkReply>(client.call(ClientJoin{1, c})));
+      ASSERT_TRUE(std::holds_alternative<OkReply>(
+          client.call(SnrUpdate{1, c % 3, c, 80.0 + c})));
+    }
+    const StatsReply stats = daemon.stats();
+    EXPECT_EQ(stats.wal_records, 16u);
+    if (mode == WalMode::kPerShard) {
+      EXPECT_EQ(daemon.inline_events(), 0u);
+      EXPECT_EQ(stats.wal_flushes, 16u);  // one fdatasync per serial event
+    } else {
+      EXPECT_GT(daemon.inline_events(), 0u);
+    }
+    daemon.stop();
+  }
+}
+
+// Timer epochs come due while serial events keep arriving. The inline
+// pass never runs one (a due epoch sends the mailbox to a worker), so a
+// long Algorithm 2 epoch of WLAN 1 never stalls the loop that answers
+// WLAN 2, and epochs keep coming while events run inline.
+TEST(ServiceDaemon, DueEpochsRunOnWorkersDuringInlineTraffic) {
+  using Clock = std::chrono::steady_clock;
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.02;
+  config.workers = 2;
+  Daemon daemon(config);
+  daemon.start();
+
+  Client big = Client::connect_unix(config.unix_path);
+  Client small = Client::connect_unix(config.unix_path);
+  constexpr int kSide = 7;
+  constexpr int kPerAp = 4;
+  constexpr std::uint32_t kBigClients = kSide * kSide * kPerAp;
+  ASSERT_TRUE(std::holds_alternative<OkReply>(
+      big.call(RegisterWlan{1, grid_deployment(kSide, kPerAp)})));
+  ASSERT_TRUE(std::holds_alternative<OkReply>(
+      small.call(RegisterWlan{2, kDeployment})));
+  join_all(big, 1, kBigClients);
+  // The stall an epoch of WLAN 1 would cause if the loop ran it.
+  const auto t_epoch = Clock::now();
+  ASSERT_TRUE(
+      std::holds_alternative<OkReply>(big.call(ForceReconfigure{1})));
+  const double epoch_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t_epoch)
+          .count();
+
+  // WLAN 1 gets serial SNR updates, so its epochs keep coming due while
+  // its events arrive; WLAN 2's round trips are timed meanwhile.
+  std::atomic<bool> stop{false};
+  std::thread wlan1_traffic([&] {
+    for (std::uint32_t k = 0; !stop.load(); ++k) {
+      const Message reply = big.call(SnrUpdate{
+          1, k % (kSide * kSide), k % kBigClients, 80.0 + k % 5});
+      EXPECT_TRUE(std::holds_alternative<OkReply>(reply));
+    }
+  });
+  const auto until =
+      Clock::now() + std::max(std::chrono::duration<double, std::milli>(
+                                  4.0 * epoch_ms),
+                              std::chrono::duration<double, std::milli>(200));
+  const std::uint64_t epochs_before = daemon.stats().epochs_total;
+  std::uint32_t sent = 0;
+  double worst_ms = 0.0;
+  while (Clock::now() < until) {
+    const std::uint32_t c = sent % 8;
+    const auto t0 = Clock::now();
+    const Message reply =
+        sent % 4 == 0 ? small.call(ClientJoin{2, c})
+                      : small.call(SnrUpdate{2, c % 3, c, 80.0 + sent % 7});
+    worst_ms = std::max(
+        worst_ms,
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+    // EXPECT, not ASSERT: returning early would leave the thread joinable.
+    EXPECT_TRUE(std::holds_alternative<OkReply>(reply));
+    ++sent;
+  }
+  stop.store(true);
+  wlan1_traffic.join();
+  // A loop-run epoch would hold up the WLAN 2 request behind it for a
+  // whole epoch (timer epochs also re-probe the SNR-dirtied clients);
+  // scheduling noise on a busy machine stays under a third of one.
+  EXPECT_LT(worst_ms, epoch_ms) << "an epoch of " << epoch_ms
+                                << " ms ran on the poll loop";
+  EXPECT_GT(daemon.inline_events(), 0u);
+  EXPECT_GE(daemon.stats().epochs_total - epochs_before, 3u);
+  const Message cfg = small.call(QueryConfig{2});
+  ASSERT_TRUE(std::holds_alternative<ConfigReply>(cfg));
+  // Every event and every timer epoch of WLAN 2 was applied exactly once.
+  EXPECT_EQ(std::get<ConfigReply>(cfg).events_applied,
+            sent + std::get<ConfigReply>(cfg).epoch);
+  daemon.stop();
+}
+
+// Replies on one connection leave in request order whichever route each
+// request took: a burst written in one go is handed to the worker (more
+// frames buffered behind each); the lone frame after it runs inline when
+// the shard is idle again, or follows the burst to the worker.
+TEST(ServiceDaemon, RepliesKeepOrderAcrossInlineAndWorkerRoutes) {
+  const TempDir dir;
+  DaemonConfig config;
+  config.unix_path = dir.path() + "/sock";
+  config.epoch_s = 0.0;
+  config.workers = 1;
+  Daemon daemon(config);
+  daemon.start();
+  {
+    Client setup = Client::connect_unix(config.unix_path);
+    ASSERT_TRUE(std::holds_alternative<OkReply>(
+        setup.call(RegisterWlan{1, kDeployment})));
+  }
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, config.unix_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  FrameBuffer in;
+  std::vector<std::uint32_t> received;
+  const auto receive_up_to = [&](std::size_t n) {
+    std::uint8_t buf[4096];
+    while (received.size() < n) {
+      const ssize_t got = ::read(fd, buf, sizeof(buf));
+      ASSERT_GT(got, 0);
+      in.append(buf, static_cast<std::size_t>(got));
+      while (std::optional<Frame> f = in.next()) {
+        EXPECT_TRUE(std::holds_alternative<OkReply>(f->msg));
+        received.push_back(f->seq);
+      }
+    }
+  };
+
+  constexpr int kRounds = 40;
+  constexpr int kBurst = 6;
+  std::uint32_t seq = 0;
+  std::vector<std::uint32_t> sent;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::uint8_t> burst;
+    for (int k = 0; k < kBurst; ++k) {
+      const std::uint32_t c = static_cast<std::uint32_t>(round + k) % 8;
+      const std::vector<std::uint8_t> f =
+          encode_frame(++seq, k % 2 == 0 ? Message{ClientJoin{1, c}}
+                                         : Message{SnrUpdate{1, c % 3, c,
+                                                             85.0 + k}});
+      burst.insert(burst.end(), f.begin(), f.end());
+      sent.push_back(seq);
+    }
+    ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+              static_cast<ssize_t>(burst.size()));
+    // Every other round waits for the burst's replies, so the lone frame
+    // meets both an idle and a busy shard.
+    if (round % 2 == 1) receive_up_to(sent.size());
+    const std::vector<std::uint8_t> lone = encode_frame(
+        ++seq, ClientLeave{1, static_cast<std::uint32_t>(round % 8)});
+    ASSERT_EQ(::write(fd, lone.data(), lone.size()),
+              static_cast<ssize_t>(lone.size()));
+    sent.push_back(seq);
+  }
+
+  receive_up_to(sent.size());
+  ::close(fd);
+  EXPECT_EQ(received, sent);
+  EXPECT_GT(daemon.inline_events(), 0u);
+  EXPECT_LT(daemon.inline_events(), sent.size());
+  daemon.stop();
 }
 
 }  // namespace

@@ -101,6 +101,12 @@ class CountingTask : public PooledExecutor::Task {
     return passes_;
   }
 
+  /// The thread that ran the most recent pass.
+  std::thread::id last_thread() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return last_thread_;
+  }
+
   void wait_for_passes(int n) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [&] { return passes_ >= n; });
@@ -128,6 +134,7 @@ class CountingTask : public PooledExecutor::Task {
   Clock::time_point run_pass() override {
     std::unique_lock<std::mutex> lock(mutex_);
     ++passes_;
+    last_thread_ = std::this_thread::get_id();
     cv_.notify_all();
     cv_.wait(lock, [&] { return !block_; });
     return wake_;
@@ -136,6 +143,7 @@ class CountingTask : public PooledExecutor::Task {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   int passes_ = 0;
+  std::thread::id last_thread_;
   bool block_ = false;
   Clock::time_point wake_;
 };
@@ -234,6 +242,115 @@ TEST(PooledExecutor, ManyTasksOverFewWorkersAllRun) {
   for (auto& t : tasks) t->wait_for_passes(2);
   for (auto& t : tasks) exec.detach(*t);
   for (auto& t : tasks) EXPECT_GE(t->passes(), 2);
+}
+
+/// run_inline() once the worker that ran the task's last pass has parked
+/// it idle (a pass is counted before its run_pass() returns).
+bool run_inline_when_idle(PooledExecutor& exec, CountingTask& task) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!exec.run_inline(task)) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(PooledExecutor, RunInlineRunsIdleTaskOnCallersThread) {
+  PooledExecutor exec(2);
+  CountingTask task;
+  exec.attach(task);
+  task.wait_for_passes(1);  // the attach pass, on a worker
+  EXPECT_NE(task.last_thread(), std::this_thread::get_id());
+  ASSERT_TRUE(run_inline_when_idle(exec, task));
+  EXPECT_EQ(task.passes(), 2);  // returned only after the pass ran
+  EXPECT_EQ(task.last_thread(), std::this_thread::get_id());
+  exec.detach(task);
+}
+
+TEST(PooledExecutor, RunInlineRefusesReadyRunningAndDetachedTasks) {
+  PooledExecutor exec(1);
+  CountingTask never_attached;
+  EXPECT_FALSE(exec.run_inline(never_attached));
+  EXPECT_EQ(never_attached.passes(), 0);
+
+  // Running: the only worker is parked inside the blocker's pass.
+  CountingTask blocker;
+  blocker.block_next_pass();
+  exec.attach(blocker);
+  blocker.wait_for_passes(1);
+  EXPECT_FALSE(exec.run_inline(blocker));
+
+  // Ready: attached behind the busy worker, queued but not started.
+  CountingTask queued;
+  exec.attach(queued);
+  EXPECT_FALSE(exec.run_inline(queued));
+  EXPECT_EQ(queued.passes(), 0);
+
+  blocker.release_pass();
+  queued.wait_for_passes(1);
+  exec.detach(blocker);
+  exec.detach(queued);
+  EXPECT_FALSE(exec.run_inline(queued));  // detached
+  EXPECT_EQ(queued.passes(), 1);
+}
+
+TEST(PooledExecutor, NotifyDuringInlinePassHandsFollowupToWorker) {
+  PooledExecutor exec(2);
+  CountingTask task;
+  exec.attach(task);
+  task.wait_for_passes(1);
+  task.block_next_pass();
+  std::thread::id inline_thread;
+  std::thread caller([&] {
+    inline_thread = std::this_thread::get_id();
+    EXPECT_TRUE(run_inline_when_idle(exec, task));
+  });
+  task.wait_for_passes(2);  // the caller is parked inside the pass
+  exec.notify(task);        // marks the inline pass dirty
+  task.release_pass();
+  caller.join();
+  task.wait_for_passes(3);  // the follow-up pass
+  EXPECT_NE(task.last_thread(), inline_thread);
+  EXPECT_NE(task.last_thread(), std::this_thread::get_id());
+  exec.detach(task);
+}
+
+TEST(PooledExecutor, RunInlineDeadlineArmsTheTimer) {
+  PooledExecutor exec(1);
+  CountingTask task;
+  exec.attach(task);
+  task.wait_for_passes(1);
+  task.set_wake(CountingTask::Clock::now() + std::chrono::milliseconds(30));
+  ASSERT_TRUE(run_inline_when_idle(exec, task));
+  task.set_wake(CountingTask::Clock::time_point::max());
+  task.wait_for_passes(3);  // only the timer can have requeued it
+  EXPECT_NE(task.last_thread(), std::this_thread::get_id());
+  exec.detach(task);
+}
+
+TEST(PooledExecutor, DetachWaitsForInlinePass) {
+  PooledExecutor exec(1);
+  CountingTask task;
+  exec.attach(task);
+  task.wait_for_passes(1);
+  task.block_next_pass();
+  std::thread caller([&] { EXPECT_TRUE(run_inline_when_idle(exec, task)); });
+  task.wait_for_passes(2);
+  std::atomic<bool> detached{false};
+  std::thread detacher([&] {
+    exec.detach(task);
+    detached.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(detached.load());  // still inside the inline pass
+  task.release_pass();
+  caller.join();
+  detacher.join();
+  EXPECT_TRUE(detached.load());
+  exec.notify(task);  // no-op after detach
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(task.passes(), 2);
 }
 
 }  // namespace
